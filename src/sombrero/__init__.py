@@ -9,7 +9,6 @@ numerically.
 
 __version__ = "0.1.0"
 
-from ._kernels import backend_name
 from .eigensolver import (
     EigenResult,
     GridExtentWarning,
@@ -68,7 +67,6 @@ from .wavefunction import (
 
 __all__ = [
     "__version__",
-    "backend_name",
     "EigenResult",
     "GridExtentWarning",
     "RadialGrid",

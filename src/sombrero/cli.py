@@ -11,6 +11,7 @@ identical for identical flags.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -32,6 +33,24 @@ from .wavefunction import TrialWavefunction, eval_psi, maxima_radius
 
 class UsageError(Exception):
     """Bad command-line input (exit code 2)."""
+
+
+class OracleFailure(Exception):
+    """The oracle could not settle the groundstate (exit code 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that also reads "-1.4e-05" as a negative number.
+
+    argparse treats a separate value that starts with "-" as an option
+    unless it matches its negative-number pattern, which knows only plain
+    decimals; this one adds exponent notation, so "--A -1.4e-05" parses
+    like "--A=-1.4e-05".  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(x) -> str:
@@ -192,12 +211,20 @@ def cmd_jackiw(args) -> int:
     return 0
 
 
+def _oracle_report(sol: ZeroModeSolution, args):
+    try:
+        return verify_solution(sol, VerifyTolerances(r_max=args.rmax, n_points=args.grid))
+    except RuntimeError as exc:  # domain drifting, grid too coarse, no convergence
+        raise OracleFailure(str(exc)) from exc
+
+
 def cmd_eta_mu(args) -> int:
     _require(args.g > 0, f"--g must be > 0, got {args.g}")
     _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
     _require(args.grid >= 16, f"--grid must be >= 16, got {args.grid}")
+    _require(args.rmax is None or args.rmax > 0, f"--rmax must be > 0, got {args.rmax}")
     sol = solve_eta_mu(args.g, args.N)  # NoRootError propagates as exit 1
-    report = verify_solution(sol, VerifyTolerances(r_max=args.rmax, n_points=args.grid))
+    report = _oracle_report(sol, args)
     summary = _base_summary("eta-mu", {"g": args.g, "N": args.N})
     summary["solution"] = _solution_summary(sol)
     summary["c_rule"] = "c = (1 - eta) * g * r0_sq / 2"
@@ -211,7 +238,7 @@ def cmd_verify(args) -> int:
     _require(args.rmax is None or args.rmax > 0, f"--rmax must be > 0, got {args.rmax}")
     p = _potential_from_args(args)
     sol = ZeroModeSolution(potential=p, trial=derive_trial(p))
-    report = verify_solution(sol, VerifyTolerances(r_max=args.rmax, n_points=args.grid))
+    report = _oracle_report(sol, args)
     summary = _base_summary(
         "verify",
         {"g": args.g, "alpha": args.alpha, "beta": args.beta, "A": args.A, "N": args.N},
@@ -254,7 +281,7 @@ def _add_format_flag(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sombrero",
         description="Zero-energy groundstates of sombrero-shaped sextic potentials",
     )
@@ -326,6 +353,9 @@ def main(argv=None) -> int:
         return 2
     except NoRootError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
+        return 1
+    except OracleFailure as exc:
+        print(f"oracle failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

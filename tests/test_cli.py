@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sombrero
 from sombrero.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -80,6 +83,14 @@ class TestDerive:
             capsys,
         )
         assert code == 2
+
+    def test_negative_value_in_exponent_notation(self, capsys):
+        flags = ["--g", "1.5", "--alpha", "3.4641016", "--beta", "2", "--N", "3"]
+        code, out, err = run_cli(["derive", *flags, "--A", "-1.4e-05"], capsys)
+        joined = run_cli(["derive", *flags, "--A=-1.4e-05"], capsys)
+        assert (code, out, err) == joined
+        assert code == 0
+        assert "A = -1.4e-05" in out
 
     def test_json_round_trips_byte_identically(self, capsys):
         code, out, _ = run_cli(["derive", *WORKED_FLAGS, "--format", "json"], capsys)
@@ -219,6 +230,12 @@ class TestEtaMu:
         code, _, _ = run_cli(["eta-mu", "--g", "0", "--N", "3"], capsys)
         assert code == 2
 
+    def test_nonpositive_rmax_exits_2(self, capsys):
+        code, _, err = run_cli(["eta-mu", "--g", "1", "--N", "3", "--rmax", "-1"], capsys)
+        assert code == 2
+        assert "--rmax" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_reference_case_passes(self, capsys):
@@ -238,6 +255,15 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verification"]["verdict"] == "FAIL"
         assert "m_zero_residual" in doc["verification"]["failures"]
+
+    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
+    def test_oracle_failure_exits_1(self, capsys):
+        code, out, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "20", "--rmax", "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "grid too coarse" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_small_grid_exits_2(self, capsys):
         code, _, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "8"], capsys)
@@ -285,10 +311,14 @@ class TestPlotData:
 
 class TestEntrypoint:
     def test_module_invocation(self):
+        # the child imports the same sombrero as this process, installed or not
+        src = str(Path(sombrero.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sombrero", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "sombrero" in proc.stdout

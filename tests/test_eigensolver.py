@@ -1,5 +1,6 @@
 """Radial eigensolver: calibration, invariants, and oracle-vs-closed-form."""
 
+import hashlib
 import math
 import warnings
 
@@ -18,6 +19,8 @@ from sombrero import (
     eval_psi,
     groundstate,
     jackiw_solutions,
+    params_from_lambda,
+    solve_eta,
     trial_split,
     verify_solution,
 )
@@ -207,3 +210,66 @@ class TestVerifySolution:
         assert "oracle_energy_vs_e0" in report.failures
         assert "m_zero_residual" in report.failures
         assert abs(report.m_residual) > 1e-3
+
+
+class TestPinnedAnswers:
+    """Oracle answers frozen bit for bit: float.hex of the energy and the
+    Richardson pair, sha256 of the vector's bytes.
+
+    The eigenvalue and eigenvector kernels perform a fixed sequence of
+    IEEE-754 operations, so a change that only makes them faster must
+    leave these unchanged.  The pins also cover numpy's elementwise
+    power/exp in discretize and the potential; they were recorded with
+    Python 3.11 and numpy 2.4 on x86-64, and a numpy build whose
+    transcendental functions round differently would move them.
+    """
+
+    @staticmethod
+    def assert_pinned(res, energy, pair, vector_sha256, r_max):
+        assert res.energy.hex() == energy
+        assert tuple(x.hex() for x in res.richardson_pair) == pair
+        assert hashlib.sha256(res.vector.tobytes()).hexdigest() == vector_sha256
+        assert res.grid.r_max == r_max
+
+    def test_worked_case(self, worked_potential):
+        self.assert_pinned(
+            groundstate(worked_potential, r_max=8.0, n_points=2000),
+            "0x1.81f74c18aaaabp-35",
+            ("-0x1.189e4aafabf1ep-16", "-0x1.189db9f2ef68ap-18"),
+            "87840243d80a48b70c0951ed599a1aafde9d8b3a5434bbbf3837cc90480409f0",
+            8.0,
+        )
+
+    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
+    def test_auto_domain_three_domains(self):
+        # g = 0.01: the energy still moves from r_max 8 to 10, settles
+        # from 10 to 12.5, so the solve tries three domains and keeps 10
+        (eta,) = solve_eta(1.5, 3)
+        sol = params_from_lambda(0.01, 1.5, eta, 3)
+        self.assert_pinned(
+            groundstate(sol.potential, n_points=2000),
+            "0x1.f63a87d34aaabp-40",
+            ("-0x1.76252972d14c7p-23", "-0x1.7622381b058f8p-25"),
+            "7f46662131fa6c7a55e8b4bda5e9235be080a9ced04af47f6640d23e7957a2ab",
+            10.0,
+        )
+
+    def test_callable_extra_potential(self):
+        p = PotentialParams(g=1.0, alpha=0.0, beta=0.0, bigA=0.0, n_dim=3)
+        split = trial_split(p, derive_trial(p))
+        self.assert_pinned(
+            groundstate(p, extra_potential=split.h_at, r_max=8.0, n_points=2000),
+            "0x1.3fffffffff241p+1",
+            ("0x1.3fffe693dc75cp+1", "0x1.3ffff9a4f6788p+1"),
+            "48228c57998fe0e3cb4067f07997a217f1adbb2f8aae583deb4d55d0f8c62c92",
+            8.0,
+        )
+
+    def test_one_dimensional_harmonic_oscillator(self):
+        self.assert_pinned(
+            groundstate(lambda r: 0.5 * r * r, n_dim=1, r_max=12.0, n_points=2000),
+            "0x1.fffffffff2ab5p-2",
+            ("0x1.ffffb4809181ap-2", "0x1.ffffed201a60fp-2"),
+            "b05e4448f40503edc94d88049a3635a6600f166ed184d5c60768685dd4b6bf24",
+            12.0,
+        )

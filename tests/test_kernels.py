@@ -1,10 +1,13 @@
-"""Tridiagonal kernels against scipy references, plus backend agreement."""
+"""Tridiagonal kernels against scipy and dense numpy references, and
+bit for bit against a plain element-by-element loop version."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sombrero import _kernels, _kernels_impl
+from sombrero import _kernels
 
 
 def random_tridiagonal(rng, n):
@@ -13,35 +16,203 @@ def random_tridiagonal(rng, n):
     return d, e
 
 
-class TestSturmCount:
-    def test_against_scipy_spectrum(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            n = int(rng.integers(5, 60))
-            d, e = random_tridiagonal(rng, n)
-            eigs = sla.eigh_tridiagonal(d, e, eigvals_only=True)
-            e2 = e * e
-            pivmin = 1e-300
-            for x in rng.uniform(-8.0, 8.0, 6):
-                expected = int(np.sum(eigs < x))
-                assert _kernels.sturm_count_below(d, e2, x, pivmin) == expected
+def degenerate_constant_matrix(n):
+    # flux-form free particle: d[0] = k, d[j] = 2k, e = -k; plain
+    # sign-counting loops on such matrices unless zero pivots are
+    # floored and counted as negative
+    k = 12665.147955292221
+    d = np.full(n, 2 * k)
+    d[0] = k
+    return d, np.full(n - 1, -k)
 
-    def test_degenerate_constant_matrix(self):
-        # flux-form free particle: d[0] = k, d[j] = 2k, e = -k; plain
-        # sign-counting loops on such matrices unless zero pivots are
-        # floored and counted as negative
-        k = 12665.147955292221
-        n = 500
-        d = np.full(n, 2 * k)
-        d[0] = k
-        e = np.full(n - 1, -k)
-        eigs = sla.eigh_tridiagonal(d, e, eigvals_only=True)
-        e2 = e * e
-        pivmin = 2.2e-308 * e2.max()
-        for x in (k, k * (1 - 1e-12), k * (1 + 1e-12), 0.5, 3 * k):
-            expected = int(np.sum(eigs < x))
-            got = _kernels.sturm_count_below(d, e2, x, pivmin)
-            assert abs(got - expected) <= 1  # exact-eigenvalue probe may straddle
+
+def dense_groundstate(d, e):
+    vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return vals[0], vecs[:, 0]
+
+
+def loop_smallest_eigenvalue(d, e, abs_tol):
+    """Reference: Gershgorin bracket and full Sturm count at every probe."""
+    n = d.shape[0]
+    if n == 1:
+        return d[0]
+    e2 = e * e
+    e2max = 0.0
+    for i in range(n - 1):
+        if e2[i] > e2max:
+            e2max = e2[i]
+    pivmin = 2.2250738585072014e-308 * (e2max if e2max > 1.0 else 1.0)
+    lo = d[0] - abs(e[0])
+    hi = d[0] + abs(e[0])
+    for i in range(1, n):
+        rad = abs(e[i - 1])
+        if i < n - 1:
+            rad += abs(e[i])
+        if d[i] - rad < lo:
+            lo = d[i] - rad
+        if d[i] + rad > hi:
+            hi = d[i] + rad
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        count = 0
+        q = d[0] - mid
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q <= 0.0:
+            count += 1
+        for i in range(1, n):
+            q = d[i] - mid - e2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q <= 0.0:
+                count += 1
+        if count >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def loop_inverse_iteration(d, e, sigma, rel_tol, max_iter):
+    """Reference: dgttrf-style factorization and sweeps, one element at a time."""
+    n = d.shape[0]
+    dd = np.array([d[i] - sigma for i in range(n)])
+    dl = e.copy()
+    du = e.copy()
+    du2 = np.zeros(max(n - 2, 0))
+    swapped = np.zeros(max(n - 1, 0), dtype=bool)
+    scale_t = 0.0
+    for i in range(n):
+        if abs(dd[i]) > scale_t:
+            scale_t = abs(dd[i])
+    for i in range(n - 1):
+        if abs(e[i]) > scale_t:
+            scale_t = abs(e[i])
+    tiny = 2.220446049250313e-16 * scale_t
+    if tiny == 0.0:
+        tiny = 2.2250738585072014e-308
+    for i in range(n - 1):
+        if abs(dd[i]) >= abs(dl[i]):
+            if dd[i] == 0.0:
+                dd[i] = tiny
+            fact = dl[i] / dd[i]
+            dl[i] = fact
+            dd[i + 1] -= fact * du[i]
+        else:
+            swapped[i] = True
+            fact = dd[i] / dl[i]
+            dd[i] = dl[i]
+            dl[i] = fact
+            tmp = du[i]
+            du[i] = dd[i + 1]
+            dd[i + 1] = tmp - fact * dd[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du[i + 1]
+    if dd[n - 1] == 0.0:
+        dd[n - 1] = tiny
+    v = np.full(n, 1.0 / math.sqrt(n))
+    x = np.empty(n)
+    for sweep in range(max_iter):
+        x[:] = v
+        for i in range(n - 1):
+            if swapped[i]:
+                tmp = x[i]
+                x[i] = x[i + 1]
+                x[i + 1] = tmp - dl[i] * x[i]
+            else:
+                x[i + 1] -= dl[i] * x[i]
+        x[n - 1] /= dd[n - 1]
+        if n > 1:
+            x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / dd[n - 2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dd[i]
+        amax = 0.0
+        for i in range(n):
+            if abs(x[i]) > amax:
+                amax = abs(x[i])
+        if amax == 0.0 or not math.isfinite(amax):
+            return v, -1
+        nrm = 0.0
+        for i in range(n):
+            x[i] /= amax
+            nrm += x[i] * x[i]
+        nrm = math.sqrt(nrm)
+        dot = 0.0
+        for i in range(n):
+            x[i] /= nrm
+            dot += x[i] * v[i]
+        if dot < 0.0:
+            x = -x
+        delta = 0.0
+        for i in range(n):
+            diff = abs(x[i] - v[i])
+            if diff > delta:
+                delta = diff
+            v[i] = x[i]
+        if delta < rel_tol:
+            return v, sweep + 1
+    return v, -1
+
+
+def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50):
+    with np.errstate(all="ignore"):
+        got = _kernels.smallest_eigenvalue(d, e, tol)
+        ref = loop_smallest_eigenvalue(d, e, tol)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        for sigma in sigmas:
+            sigma = ref if sigma is None else sigma
+            v, sweeps = _kernels.inverse_iteration(d, e, sigma, rel_tol, max_iter)
+            v_ref, sweeps_ref = loop_inverse_iteration(d, e, sigma, rel_tol, max_iter)
+            assert sweeps == sweeps_ref
+            assert v.tobytes() == v_ref.tobytes()
+
+
+class TestMatchesLoopReference:
+    """The kernels perform the loop version's IEEE-754 operations in the
+    same order, so every result is identical to the last bit."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(71)
+        for k in range(120):
+            n = int(rng.integers(1, 120))
+            d = rng.uniform(-5.0, 5.0, n) * 10 ** rng.uniform(-3, 3)
+            e = rng.uniform(-3.0, 3.0, n - 1) * 10 ** rng.uniform(-3, 3)
+            if k % 7 == 0:
+                e[rng.integers(0, max(n - 1, 1)):] = 0.0  # split into blocks
+            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), sigmas=(None, rng.uniform(-5, 5)))
+
+    def test_unconverged_sweeps(self):
+        rng = np.random.default_rng(73)
+        for max_iter in range(4):
+            d, e = random_tridiagonal(rng, 40)
+            assert_same_bits(d, e, 1e-13, rel_tol=1e-30, max_iter=max_iter)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    def test_degenerate_constant_matrix(self, n):
+        d, e = degenerate_constant_matrix(n)
+        assert_same_bits(d, e, 1e-12, sigmas=(None, 0.0, d[0], d[1]))
+
+    def test_zero_pivots_and_signed_zeros(self):
+        assert_same_bits(np.ones(3), np.zeros(2), 1e-12, sigmas=(1.0,))
+        assert_same_bits(np.zeros(5), np.zeros(4), 1e-12, sigmas=(0.0,))
+        assert_same_bits(np.array([-0.0, 0.0, -0.0]), np.array([-0.0, 0.0]), 1e-12, sigmas=(0.0, -0.0))
+        assert_same_bits(np.array([4.2]), np.zeros(0), 1e-13, sigmas=(4.2, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        rng = np.random.default_rng(79)
+        for pos in (0, 1, 5, 9):
+            d = rng.uniform(1.0, 5.0, 10)
+            e = rng.uniform(-1.0, 1.0, 9)
+            d_bad = d.copy()
+            d_bad[pos] = bad
+            assert_same_bits(d_bad, e, 1e-12, sigmas=(1.0,))
+            e_bad = e.copy()
+            e_bad[min(pos, 8)] = bad
+            assert_same_bits(d, e_bad, 1e-12, sigmas=(1.0,))
 
 
 class TestSmallestEigenvalue:
@@ -60,16 +231,23 @@ class TestSmallestEigenvalue:
         assert _kernels.smallest_eigenvalue(np.array([4.2]), np.zeros(0), 1e-13) == 4.2
 
     def test_degenerate_constant_matrix_terminates(self):
-        k = 12665.147955292221
-        n = 500
-        d = np.full(n, 2 * k)
-        d[0] = k
-        e = np.full(n - 1, -k)
+        d, e = degenerate_constant_matrix(500)
         reference = sla.eigh_tridiagonal(
             d, e, select="i", select_range=(0, 0), eigvals_only=True
         )[0]
         got = _kernels.smallest_eigenvalue(d, e, 1e-12)
         assert got == pytest.approx(reference, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_matrices_against_dense_eigh(self, n):
+        rng = np.random.default_rng(59 + n)
+        for _ in range(20):
+            d, e = random_tridiagonal(rng, n)
+            reference, _ = dense_groundstate(d, e)
+            assert _kernels.smallest_eigenvalue(d, e, 1e-13) == pytest.approx(reference, abs=1e-12)
+        d, e = degenerate_constant_matrix(n)
+        reference, _ = dense_groundstate(d, e)
+        assert _kernels.smallest_eigenvalue(d, e, 1e-12) == pytest.approx(reference, abs=1e-9)
 
 
 class TestInverseIteration:
@@ -99,25 +277,22 @@ class TestInverseIteration:
         assert sweeps > 0
         assert np.all(np.isfinite(v))
 
-
-class TestBackendAgreement:
-    def test_backend_is_reported(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_dispatched_matches_reference_implementation(self):
-        rng = np.random.default_rng(53)
-        for _ in range(8):
-            n = int(rng.integers(10, 120))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_matrices_against_dense_eigh(self, n):
+        rng = np.random.default_rng(67 + n)
+        for _ in range(20):
             d, e = random_tridiagonal(rng, n)
-            fast = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            pure = _kernels_impl.smallest_eigenvalue(d, e, 1e-13)
-            assert fast == pure
-            v_fast, s_fast = _kernels.inverse_iteration(d, e, fast, 1e-12, 50)
-            v_pure, s_pure = _kernels_impl.inverse_iteration(d, e, pure, 1e-12, 50)
-            assert s_fast == s_pure
-            np.testing.assert_array_equal(v_fast, v_pure)
-            e2 = e * e
-            for x in rng.uniform(-6.0, 6.0, 4):
-                assert _kernels.sturm_count_below(
-                    d, e2, x, 1e-300
-                ) == _kernels_impl.sturm_count_below(d, e2, x, 1e-300)
+            _, reference = dense_groundstate(d, e)
+            sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
+            v, sweeps = _kernels.inverse_iteration(d, e, sigma, 1e-12, 50)
+            assert sweeps > 0
+            assert v.shape == (n,)
+            assert abs(float(v @ reference)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_degenerate_constant_matrix_vector(self):
+        d, e = degenerate_constant_matrix(500)
+        vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        sigma = _kernels.smallest_eigenvalue(d, e, 1e-12)
+        v, sweeps = _kernels.inverse_iteration(d, e, sigma, 1e-12, 50)
+        assert sweeps > 0
+        assert abs(float(v @ vecs[:, 0])) == pytest.approx(1.0, abs=1e-8)
