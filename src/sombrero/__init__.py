@@ -26,7 +26,6 @@ from .potential import (
     PotentialParams,
     asymptotic_radius,
     eval_potential,
-    eval_potential_sq,
     from_jackiw_form,
     to_jackiw_form,
 )
@@ -46,7 +45,6 @@ from .trial import (
     TrialParams,
     TrialSplit,
     derive_trial,
-    h_sign_constant,
     m_zero_residual,
     satisfies_m_zero,
     satisfies_zero_energy,
@@ -81,7 +79,6 @@ __all__ = [
     "PotentialParams",
     "asymptotic_radius",
     "eval_potential",
-    "eval_potential_sq",
     "from_jackiw_form",
     "to_jackiw_form",
     "JackiwBranch",
@@ -97,7 +94,6 @@ __all__ = [
     "TrialParams",
     "TrialSplit",
     "derive_trial",
-    "h_sign_constant",
     "m_zero_residual",
     "satisfies_m_zero",
     "satisfies_zero_energy",

@@ -2,7 +2,9 @@
 
 Subcommands: derive, from-lambda, scan-lambda, jackiw, eta-mu, verify,
 plot-data.  Exit codes follow one contract everywhere: 0 success/pass,
-1 domain outcome (no root, verification failed), 2 usage error.  Output
+1 domain outcome (no root, verification failed), 2 usage error (a flag
+outside its range, which each flag's argparse type checks, non-finite
+numbers included, or values the library cannot represent).  Output
 is a human-readable table by default or a JSON document with --format
 json; dataset commands write two-column CSV (header row, LF endings,
 9-significant-digit floats, empty field where a value is missing), byte
@@ -11,8 +13,10 @@ identical for identical flags.
 
 import argparse
 import json
+import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,10 +35,6 @@ from .trial import derive_trial, trial_split
 from .wavefunction import TrialWavefunction, eval_psi, maxima_radius
 
 
-class UsageError(Exception):
-    """Bad command-line input (exit code 2)."""
-
-
 class OracleFailure(Exception):
     """The oracle could not settle the groundstate (exit code 1)."""
 
@@ -51,6 +51,33 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _checked(parse, rule, wanted):
+    """An argparse type: parse the text, then require a finite value that meets rule.
+
+    A value that does not parse reads "invalid float value: 'abc'" (the
+    type's name is the parser's); one that parses but is not finite or
+    breaks the rule reads "must be <wanted>, got <text>".
+    """
+
+    def convert(text):
+        value = parse(text)
+        if not (math.isfinite(value) and rule(value)):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+_FINITE = _checked(float, lambda x: True, "finite")
+_POSITIVE = _checked(float, lambda x: x > 0, "finite and > 0")
+_NONNEGATIVE = _checked(float, lambda x: x >= 0, "finite and >= 0")
+_ABOVE_ONE = _checked(float, lambda x: x > 1, "finite and > 1")
+_DIMENSION = _checked(int, lambda n: n >= 1, ">= 1")
+_GRID = _checked(int, lambda n: n >= 16, ">= 16")
+_STEPS = _checked(int, lambda n: n >= 2, ">= 2")
 
 
 def _fmt(x) -> str:
@@ -85,20 +112,13 @@ def _base_summary(command: str, inputs: dict) -> dict:
 
 
 def _require(cond: bool, message: str) -> None:
+    """Check a rule that involves two flags; each single flag's rule is in its type."""
     if not cond:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
-def _potential_from_args(args, require_positive_g=True) -> PotentialParams:
-    if require_positive_g:
-        _require(args.g > 0, f"--g must be > 0, got {args.g}")
-    else:
-        _require(args.g >= 0, f"--g must be >= 0, got {args.g}")
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
-    try:
-        return PotentialParams(g=args.g, alpha=args.alpha, beta=args.beta, bigA=args.A, n_dim=args.N)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _potential_from_args(args) -> PotentialParams:
+    return PotentialParams(g=args.g, alpha=args.alpha, beta=args.beta, bigA=args.A, n_dim=args.N)
 
 
 def _solution_summary(sol: ZeroModeSolution) -> dict:
@@ -158,9 +178,6 @@ def cmd_derive(args) -> int:
 
 
 def cmd_from_lambda(args) -> int:
-    _require(np.isfinite(args.lambda_), f"--lambda must be finite, got {args.lambda_}")
-    _require(args.g > 0, f"--g must be > 0, got {args.g}")
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
     roots = solve_eta(args.lambda_, args.N)
     summary = _base_summary("from-lambda", {"g": args.g, "lambda": args.lambda_, "N": args.N})
     if not roots:
@@ -176,10 +193,7 @@ def cmd_from_lambda(args) -> int:
 
 
 def cmd_scan_lambda(args) -> int:
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
-    _require(1.0 < args.from_, f"--from must be > 1, got {args.from_}")
     _require(args.from_ < args.to, f"need --from < --to, got {args.from_} >= {args.to}")
-    _require(args.steps >= 2, f"--steps must be >= 2, got {args.steps}")
     lams = np.linspace(args.from_, args.to, args.steps)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("lambda,eta\n")
@@ -191,7 +205,6 @@ def cmd_scan_lambda(args) -> int:
 
 
 def cmd_jackiw(args) -> int:
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
     branches = jackiw_solutions(args.N)
     summary = _base_summary("jackiw", {"N": args.N})
     summary["r0_sq"] = branches[0].potential.alpha / 2.0
@@ -219,10 +232,6 @@ def _oracle_report(sol: ZeroModeSolution, args):
 
 
 def cmd_eta_mu(args) -> int:
-    _require(args.g > 0, f"--g must be > 0, got {args.g}")
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
-    _require(args.grid >= 16, f"--grid must be >= 16, got {args.grid}")
-    _require(args.rmax is None or args.rmax > 0, f"--rmax must be > 0, got {args.rmax}")
     sol = solve_eta_mu(args.g, args.N)  # NoRootError propagates as exit 1
     report = _oracle_report(sol, args)
     summary = _base_summary("eta-mu", {"g": args.g, "N": args.N})
@@ -234,8 +243,6 @@ def cmd_eta_mu(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args.grid >= 16, f"--grid must be >= 16, got {args.grid}")
-    _require(args.rmax is None or args.rmax > 0, f"--rmax must be > 0, got {args.rmax}")
     p = _potential_from_args(args)
     sol = ZeroModeSolution(potential=p, trial=derive_trial(p))
     report = _oracle_report(sol, args)
@@ -250,10 +257,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    _require(args.r_from >= 0, f"--r-from must be >= 0, got {args.r_from}")
     _require(args.r_from < args.r_to, f"need --r-from < --r-to, got {args.r_from} >= {args.r_to}")
-    _require(args.steps >= 2, f"--steps must be >= 2, got {args.steps}")
-    p = _potential_from_args(args, require_positive_g=(args.what == "wavefunction"))
+    _require(args.what == "potential" or args.g > 0, f"--what wavefunction needs --g > 0, got {args.g}")
+    p = _potential_from_args(args)
     radii = np.linspace(args.r_from, args.r_to, args.steps)
     if args.what == "potential":
         values = np.asarray(eval_potential(p, radii))
@@ -268,12 +274,17 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
-def _add_potential_flags(sub):
-    sub.add_argument("--g", type=float, required=True, help="coupling g")
-    sub.add_argument("--alpha", type=float, required=True, help="quadratic-term coefficient")
-    sub.add_argument("--beta", type=float, required=True, help="constant-term coefficient")
-    sub.add_argument("--A", type=float, required=True, help="shift coefficient")
-    sub.add_argument("--N", type=int, required=True, help="spatial dimension")
+def _add_potential_flags(sub, g_type=_POSITIVE):
+    sub.add_argument("--g", type=g_type, required=True, help="coupling g")
+    sub.add_argument("--alpha", type=_FINITE, required=True, help="quadratic-term coefficient")
+    sub.add_argument("--beta", type=_FINITE, required=True, help="constant-term coefficient")
+    sub.add_argument("--A", type=_FINITE, required=True, help="shift coefficient")
+    sub.add_argument("--N", type=_DIMENSION, required=True, help="spatial dimension")
+
+
+def _add_oracle_flags(sub):
+    sub.add_argument("--rmax", type=_POSITIVE, default=None, help="oracle domain (default: auto)")
+    sub.add_argument("--grid", type=_GRID, default=2000, help="oracle grid points")
 
 
 def _add_format_flag(sub):
@@ -294,75 +305,80 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_derive)
 
     sub = subs.add_parser("from-lambda", help="solve the eta cubic and rebuild the potential")
-    sub.add_argument("--g", type=float, required=True)
-    sub.add_argument("--lambda", dest="lambda_", type=float, required=True)
-    sub.add_argument("--N", type=int, required=True)
+    sub.add_argument("--g", type=_POSITIVE, required=True)
+    sub.add_argument("--lambda", dest="lambda_", type=_FINITE, required=True)
+    sub.add_argument("--N", type=_DIMENSION, required=True)
     _add_format_flag(sub)
     sub.set_defaults(func=cmd_from_lambda)
 
     sub = subs.add_parser("scan-lambda", help="eta(lambda) dataset over a lambda range")
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--from", dest="from_", type=float, required=True)
-    sub.add_argument("--to", type=float, required=True)
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--N", type=_DIMENSION, required=True)
+    sub.add_argument("--from", dest="from_", type=_ABOVE_ONE, required=True)
+    sub.add_argument("--to", type=_FINITE, required=True)
+    sub.add_argument("--steps", type=_STEPS, required=True)
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.set_defaults(func=cmd_scan_lambda)
 
     sub = subs.add_parser("jackiw", help="both closed-form branches of the fixed-r0 family")
-    sub.add_argument("--N", type=int, required=True)
+    sub.add_argument("--N", type=_DIMENSION, required=True)
     _add_format_flag(sub)
     sub.set_defaults(func=cmd_jackiw)
 
     sub = subs.add_parser("eta-mu", help="well-form zero-energy solution plus oracle verdict")
-    sub.add_argument("--g", type=float, required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--rmax", type=float, default=None, help="oracle domain (default: auto)")
-    sub.add_argument("--grid", type=int, default=2000, help="oracle grid points")
+    sub.add_argument("--g", type=_POSITIVE, required=True)
+    sub.add_argument("--N", type=_DIMENSION, required=True)
+    _add_oracle_flags(sub)
     _add_format_flag(sub)
     sub.set_defaults(func=cmd_eta_mu)
 
     sub = subs.add_parser("verify", help="check parameters against the numerical oracle")
     _add_potential_flags(sub)
-    sub.add_argument("--rmax", type=float, default=None, help="oracle domain (default: auto)")
-    sub.add_argument("--grid", type=int, default=2000, help="oracle grid points")
+    _add_oracle_flags(sub)
     _add_format_flag(sub)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("plot-data", help="sampled potential or wavefunction dataset")
     sub.add_argument("--what", choices=("potential", "wavefunction"), required=True)
-    _add_potential_flags(sub)
-    sub.add_argument("--r-from", dest="r_from", type=float, required=True)
-    sub.add_argument("--r-to", dest="r_to", type=float, required=True)
-    sub.add_argument("--steps", type=int, required=True)
+    _add_potential_flags(sub, g_type=_NONNEGATIVE)
+    sub.add_argument("--r-from", dest="r_from", type=_NONNEGATIVE, required=True)
+    sub.add_argument("--r-to", dest="r_to", type=_FINITE, required=True)
+    sub.add_argument("--steps", type=_STEPS, required=True)
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.set_defaults(func=cmd_plot_data)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoRootError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
     except OracleFailure as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # unwritable --out, a two-flag rule, non-finite coefficients
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # flags so extreme that float arithmetic overflows
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def entrypoint() -> None:
+    warnings.formatwarning = _one_line_warning
     sys.exit(main())
 
 

@@ -98,8 +98,10 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
 
     potential is either PotentialParams or a vectorized callable V(r)
     (then n_dim is required); extra_potential, if given, is subtracted
-    from V.  Warns when V(r_max) is small compared to the energy scale,
-    i.e. when the Dirichlet wall may truncate a barely confined state.
+    from V.  Raises ValueError naming the first grid radius where
+    V - extra_potential is NaN or infinite.  Warns when V(r_max) is small
+    compared to the energy scale, i.e. when the Dirichlet wall may
+    truncate a barely confined state.
     """
     if grid is None:
         raise ValueError("discretize requires a RadialGrid")
@@ -111,6 +113,10 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     v = np.asarray(v_at(r), dtype=float)
     if extra_potential is not None:
         v = v - np.asarray(extra_potential(r), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"potential is not finite at r = {r[j]:.9g} (value {v[j]})")
 
     faces = np.arange(n + 1) * dr
     w = faces ** (ndim - 1.0)

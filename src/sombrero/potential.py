@@ -81,13 +81,6 @@ def eval_potential(p: PotentialParams, r):
     return v if np.ndim(r) else float(v)
 
 
-def eval_potential_sq(p: PotentialParams, r_sq):
-    """Same potential evaluated from r^2 directly (algebraic refactoring)."""
-    u = np.asarray(r_sq)
-    v = 0.5 * p.g**2 * (u * u - p.alpha * u + p.beta) * (u + p.bigA)
-    return v if np.ndim(r_sq) else float(v)
-
-
 def from_jackiw_form(j: JackiwForm, g: float, n_dim: int) -> PotentialParams:
     """Raw coefficients from the Jackiw form: alpha = 2 r0^2, beta = r0^4 (1 - mu), A = eta alpha."""
     alpha = 2.0 * j.r0_sq

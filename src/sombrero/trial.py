@@ -119,13 +119,3 @@ def satisfies_m_zero(p: PotentialParams, rtol: float = 1e-10) -> bool:
 def satisfies_zero_energy(p: PotentialParams, rtol: float = 1e-10) -> bool:
     """True when the E0 = 0 residual vanishes to rtol (term-scaled)."""
     return abs(zero_energy_residual(p)) <= rtol * _zero_energy_scale(p)
-
-
-def h_sign_constant(split: TrialSplit, radii) -> bool:
-    """Diagnostic: does h keep one sign over the given radii?
-
-    Sign-definite h matters only for iterating corrections on top of the
-    trial function, which this package never does; mixed sign is legal.
-    """
-    vals = split.h_at(np.asarray(radii, dtype=float))
-    return bool(np.all(vals >= 0.0) or np.all(vals <= 0.0))

@@ -1,5 +1,7 @@
 """CLI contract: flags, exit codes, output formats, dataset determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sombrero
+from sombrero import cli
 from sombrero.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -22,6 +27,28 @@ WORKED_FLAGS = [
     "--A", "1.1547005383792515",
     "--N", "3",
 ]
+
+
+POTENTIAL = {"--g": "1.5", "--alpha": "3.4641016", "--beta": "2", "--A": "1.1547005", "--N": "3"}
+
+# one valid invocation per subcommand, as flag -> value; "OUT" marks the output path
+VALID = {
+    "derive": POTENTIAL,
+    "from-lambda": {"--g": "1.5", "--lambda": "1.5", "--N": "3"},
+    "scan-lambda": {"--N": "3", "--from": "1.5", "--to": "2.5", "--steps": "3", "--out": "OUT"},
+    "jackiw": {"--N": "3"},
+    "eta-mu": {"--g": "1", "--N": "3", "--rmax": "8", "--grid": "2000"},
+    "verify": {**POTENTIAL, "--rmax": "8", "--grid": "2000"},
+    "plot-data": {"--what": "potential", **POTENTIAL, "--r-from": "0", "--r-to": "3", "--steps": "5", "--out": "OUT"},
+}
+NUMERIC = [(cmd, flag) for cmd, flags in VALID.items() for flag in flags if flag not in ("--out", "--what")]
+
+
+def argv_for(command, flags, out_path):
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag, str(out_path) if value == "OUT" else value]
+    return argv
 
 
 def run_cli(args, capsys):
@@ -309,16 +336,119 @@ class TestPlotData:
         assert code == 2
 
 
+class TestFlagTypes:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command,flag", NUMERIC)
+    def test_non_finite_value_exits_2_naming_the_flag(self, command, flag, value, tmp_path, capsys):
+        flags = {**VALID[command]}
+        del flags[flag]
+        argv = argv_for(command, flags, tmp_path / "x.csv") + [f"{flag}={value}"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        def fail():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        code, _, _ = run_cli(["jackiw", "--N", "3"], capsys)
+        assert code == 0
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # g**2 overflows a float in the trial split
+            ["derive", "--g", "1e200", "--alpha", "0", "--beta", "0", "--A", "0", "--N", "3"],
+            # beta overflows when the potential is rebuilt from (g, lambda, eta)
+            ["from-lambda", "--g", "1e-320", "--lambda", "1.5", "--N", "3"],
+        ],
+    )
+    def test_reported_in_one_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+def run_module(args):
+    # the child imports the same sombrero as this process, installed or not
+    src = str(Path(sombrero.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sombrero", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntrypoint:
     def test_module_invocation(self):
-        # the child imports the same sombrero as this process, installed or not
-        src = str(Path(sombrero.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sombrero", "--version"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module(["--version"])
         assert proc.returncode == 0
         assert "sombrero" in proc.stdout
+
+    def test_warning_prints_as_one_line(self):
+        proc = run_module(["verify", *WORKED_FLAGS, "--grid", "20", "--rmax", "0.5"])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: V(r_max=0.5)")
+        assert lines[1].startswith("oracle failed: ")
+        assert ".py:" not in proc.stderr
+
+
+def _flag_value(flag):
+    """Text for one flag: an extreme, non-finite or unparsable value, or a random number."""
+    special = st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "-1e-300", "-1.4e-05", "0", "abc"])
+    if flag == "--grid":
+        number = st.integers(16, 4000).map(str)
+    elif flag == "--steps":
+        number = st.integers(2, 500).map(str)
+    elif flag == "--N":
+        number = st.integers(-2, 12).map(str)
+    else:
+        number = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+    return st.one_of(special, number)
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    for flag, value in VALID[command].items():
+        if value == "OUT":
+            argv += [flag, "OUT"]
+            continue
+        roll = draw(st.integers(0, 99))  # keep the valid value 2 times in 3, drop the flag 1 in 50
+        if roll < 2:
+            continue
+        if flag == "--what":
+            value = draw(st.sampled_from(["potential", "wavefunction"]))
+        elif roll >= 67:
+            value = draw(_flag_value(flag))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+class TestExitContract:
+    """Whatever the flags, the exit code is 0, 1 or 2 and nothing raises."""
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("command", list(VALID))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_argv(self, command, data, tmp_path):
+        argv = data.draw(_argv(command))
+        argv = [str(tmp_path / "x.csv") if a == "OUT" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

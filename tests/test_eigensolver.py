@@ -78,6 +78,15 @@ class TestDiscretize:
         assert np.allclose(plain.diag - shifted.diag, 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(plain.off_diag, shifted.off_diag)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_potential(self, bad):
+        def v(r):
+            return np.where(r > 3.0, bad, 0.5 * r * r)
+
+        # first cell center past r = 3 on this grid: (24 + 1/2) * 8/64
+        with pytest.raises(ValueError, match=r"not finite at r = 3\.0625"):
+            groundstate(v, n_dim=3, r_max=8.0, n_points=64)
+
     def test_requires_grid_and_dimension(self, worked_potential):
         with pytest.raises(ValueError, match="RadialGrid"):
             discretize(worked_potential)

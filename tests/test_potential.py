@@ -10,7 +10,6 @@ from sombrero import (
     PotentialParams,
     asymptotic_radius,
     eval_potential,
-    eval_potential_sq,
     from_jackiw_form,
     to_jackiw_form,
 )
@@ -36,12 +35,6 @@ class TestEvalPotential:
         assert vec.shape == r.shape
         for i, ri in enumerate(r):
             assert vec[i] == eval_potential(worked_potential, float(ri))
-
-    def test_depends_on_r_only_through_r_squared(self, worked_potential):
-        r = np.linspace(0.0, 6.0, 101)
-        direct = eval_potential(worked_potential, r)
-        via_sq = eval_potential_sq(worked_potential, r * r)
-        assert np.allclose(direct, via_sq, rtol=1e-15, atol=0.0)
 
     def test_sextic_leading_behavior(self):
         rng = np.random.default_rng(7)

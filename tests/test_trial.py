@@ -10,7 +10,6 @@ from sombrero import (
     TrialParams,
     TrialWavefunction,
     derive_trial,
-    h_sign_constant,
     m_zero_residual,
     satisfies_m_zero,
     satisfies_zero_energy,
@@ -122,16 +121,6 @@ class TestTrialSplit:
             predicted = np.polyval(coeffs, u[3])
             scale = max(1.0, np.abs(probe).max())
             assert abs(predicted - probe[3]) < 1e-10 * scale
-
-    def test_sign_diagnostic(self):
-        radii = np.geomspace(1e-2, 10.0, 50)
-        split = trial_split(ZEROS_P, derive_trial(ZEROS_P))
-        assert isinstance(h_sign_constant(split, radii), bool)
-        # a manufactured mixed-sign correction
-        mixed = trial_split(ZEROS_P, TrialParams(a=0.25, c=0.0, m=-0.2))
-        vals = mixed.h_at(radii)
-        if vals.min() < 0.0 < vals.max():
-            assert not h_sign_constant(mixed, radii)
 
 
 class TestResiduals:
