@@ -48,7 +48,23 @@ def _gershgorin_end(ends, argbest) -> float:
     return float(ends[argbest(ends)])
 
 
-def smallest_eigenvalue(d, e, abs_tol):
+def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
+    """Whether some LDL^T pivot of (T - x*I) falls below pivmin.
+
+    Walks q_0 = d_0 - x, q_i = (d_i - x) - e2_i / q_(i-1) and stops at
+    the first q_i < pivmin, so a pivot under the floor is never divided by.
+    """
+    q = d0 - x
+    if q < pivmin:
+        return True
+    for di, e2i in zip(d_rest, e2):
+        q = di - x - e2i / q
+        if q < pivmin:
+            return True
+    return False
+
+
+def smallest_eigenvalue(d, e, abs_tol, hints=()):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
     Brackets with Gershgorin bounds and bisects on the Sturm count until
@@ -63,6 +79,26 @@ def smallest_eigenvalue(d, e, abs_tol):
     so the answer is yes exactly when some raw q < pivmin, and the probe
     stops there; a floored pivot is thus never fed back into the
     recurrence.  NaN pivots compare false and never count.
+
+    hints are points probed before the bisection starts, typically just
+    below and just above an estimate of the eigenvalue.  They change how
+    long the bisection takes, never its result.  The computed answer is
+    monotone in the probe point x when d and e*e are finite: for x <= x',
+    fl(d_0 - x) >= fl(d_0 - x'), because round-to-nearest subtraction is
+    monotone in each argument (overflow to infinity included).  If
+    q_(i-1)(x) >= q_(i-1)(x') >= pivmin > 0, then with e2_i >= 0,
+    fl(e2_i / q_(i-1)(x)) <= fl(e2_i / q_(i-1)(x')), as division by a
+    positive number is monotone too, and that quotient is finite since
+    e2_i / pivmin <= 1 / SAFMIN; so q_i(x) >= q_i(x').  By induction
+    every pivot at x is at least the one at x', up to the first pivot at
+    x' under pivmin.  Hence "no" at x means "no" at every point <= x, and
+    "yes" at x' means "yes" at every point >= x'.  The bisection keeps
+    the largest hint that answered no and the smallest that answered
+    yes, and a later mid at or beyond one of them takes the known answer
+    without walking the recurrence: the (lo, hi) sequence, and so the
+    result, is bit for bit the one without hints.  With a NaN or an
+    infinity in d, e*e or the hints the argument fails, so the hints are
+    then ignored.
     """
     n = d.shape[0]
     if n == 1:
@@ -78,22 +114,21 @@ def smallest_eigenvalue(d, e, abs_tol):
 
     # memoryviews hand out one Python float at a time; a tolist() copy
     # iterates ~15% faster but holds n float objects per array
-    d0 = float(d[0])
-    d_rest = memoryview(d)[1:]
-    e2 = memoryview(e2)
+    args = (float(d[0]), memoryview(d)[1:], memoryview(e2), pivmin)
+    known_no, known_yes = -math.inf, math.inf
+    hints = [float(x) for x in hints]
+    if hints and all(map(math.isfinite, hints)) and np.isfinite(d).all() and np.isfinite(e2).all():
+        for x in hints:
+            if _pivot_below(x, *args):
+                known_yes = min(known_yes, x)
+            else:
+                known_no = max(known_no, x)
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        q = d0 - mid
-        if q < pivmin:
+        if mid >= known_yes or (mid > known_no and _pivot_below(mid, *args)):
             hi = mid
-            continue
-        for di, e2i in zip(d_rest, e2):
-            q = di - mid - e2i / q
-            if q < pivmin:
-                hi = mid
-                break
         else:
             lo = mid
     return 0.5 * (lo + hi)

@@ -40,17 +40,21 @@ class OracleFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that also reads "-1.4e-05" as a negative number.
+    """ArgumentParser that also reads "-1.4e-05" and "-inf" as negative numbers.
 
     argparse treats a separate value that starts with "-" as an option
     unless it matches its negative-number pattern, which knows only plain
-    decimals; this one adds exponent notation, so "--A -1.4e-05" parses
-    like "--A=-1.4e-05".  Subparsers inherit the class.
+    decimals; this one adds exponent notation and, in any case, the
+    float spellings "-inf", "-infinity" and "-nan", so "--A -1.4e-05"
+    parses like "--A=-1.4e-05" and "--alpha -inf" reaches the flag's type
+    check.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def _checked(parse, rule, wanted):

@@ -6,9 +6,11 @@ singularity at r = 0 is never touched and the zero-flux inner face
 enforces psi'(0) = 0 for every dimension; the outer boundary is
 Dirichlet.  A similarity transform by r^((N-1)/2) makes the operator an
 exactly symmetric tridiagonal matrix, whose smallest eigenvalue comes
-from Sturm-sequence bisection and whose groundstate vector from inverse
-iteration.  Each energy is computed at spacings dr and dr/2 and
-Richardson-extrapolated, cancelling the leading O(dr^2) error.
+from Sturm-sequence bisection.  Each energy is computed at spacings dr
+and dr/2 and Richardson-extrapolated, cancelling the leading O(dr^2)
+error.  The groundstate vector comes from inverse iteration, once per
+solve, on the fine grid of the domain the solve accepts; the trial
+domains of the automatic domain search compare energies only.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -28,6 +30,9 @@ from .wavefunction import TrialWavefunction, derivatives_s0, eval_psi, schroding
 
 DEFAULT_R_MAX = 8.0
 MIN_GRID_POINTS = 16
+# half-width, in units of the energy scale, of the bracket around an
+# eigenvalue estimate that is probed before a bisection starts
+_HINT_WIDTH = 1e-6
 
 
 class GridExtentWarning(UserWarning):
@@ -155,7 +160,9 @@ def groundstate(
     Richardson-extrapolates the energy, and reports the eigenvector on
     the finer grid.  With r_max=None the domain starts at 8 and is
     extended by 25% (up to three times) until the extrapolated energy is
-    stable to 1e-9 * scale; an explicit r_max is used as given.
+    stable to 1e-9 * scale; an explicit r_max is used as given.  Trial
+    domains compare energies only: the eigenvector is computed once, on
+    the domain the solve returns.
 
     PotentialParams inputs must have g > 0 for confinement; a callable
     potential (with n_dim) is trusted to confine on its own.
@@ -165,14 +172,17 @@ def groundstate(
     v_at, ndim = _resolve_potential(potential, n_dim)
 
     if r_max is not None:
-        return _solve_fixed(v_at, extra_potential, float(r_max), n_points, ndim)
+        return _eigenvector(_eigenvalues(v_at, extra_potential, float(r_max), n_points, ndim), ndim)
 
     rm = DEFAULT_R_MAX
-    current = _solve_fixed(v_at, extra_potential, rm, n_points, ndim)
+    current = _eigenvalues(v_at, extra_potential, rm, n_points, ndim)
     for _ in range(3):
-        wider = _solve_fixed(v_at, extra_potential, 1.25 * rm, n_points, ndim)
-        if abs(current.energy - wider.energy) <= 1e-9 * _energy_scale(v_at, rm):
-            return current
+        # at fixed n_points the wider domain's dr^2 is 1.25^2 times this one's,
+        # and so, to leading order, is the coarse grid's error
+        guess = current.energy + 1.5625 * (current.pair[0] - current.energy)
+        wider = _eigenvalues(v_at, extra_potential, 1.25 * rm, n_points, ndim, guess)
+        if abs(current.energy - wider.energy) <= 1e-9 * current.scale:
+            return _eigenvector(current, ndim)
         rm *= 1.25
         current = wider
     raise RuntimeError(
@@ -181,15 +191,36 @@ def groundstate(
     )
 
 
-def _solve_fixed(v_at, extra_potential, r_max, n_points, ndim) -> EigenResult:
+@dataclass(frozen=True, eq=False)
+class _Eigenvalues:
+    """The eigenvalue stage on one domain: the Richardson-extrapolated
+    energy, the raw (coarse, fine) pair, the fine operator the vector
+    stage factors, and the domain's energy scale."""
+
+    energy: float
+    pair: tuple[float, float]
+    fine_op: TridiagonalOperator
+    scale: float
+
+
+def _eigenvalues(v_at, extra_potential, r_max, n_points, ndim, guess=None) -> _Eigenvalues:
+    """Smallest eigenvalues at n_points and 2*n_points cells, extrapolated.
+
+    guess, if given, estimates the coarse eigenvalue; the coarse one in
+    turn estimates the fine one.  An estimate only shortens the
+    bisection (see _kernels.smallest_eigenvalue); the result is the same.
+    """
     scale = _energy_scale(v_at, r_max)
     bisect_tol = 1e-12 * scale
+    width = _HINT_WIDTH * scale
 
     energies = []
     fine_op = None
     for n in (n_points, 2 * n_points):
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
-        energies.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol)))
+        hints = () if guess is None else (guess - width, guess + width)
+        guess = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints))
+        energies.append(guess)
         fine_op = op
     e_coarse, e_fine = energies
     if abs(e_coarse - e_fine) > 0.1 * scale:
@@ -198,8 +229,13 @@ def _solve_fixed(v_at, extra_potential, r_max, n_points, ndim) -> EigenResult:
             f"10% of scale {scale:.3g}: grid too coarse"
         )
     energy = (4.0 * e_fine - e_coarse) / 3.0
+    return _Eigenvalues(energy=energy, pair=(e_coarse, e_fine), fine_op=fine_op, scale=scale)
 
-    vec, sweeps = _kernels.inverse_iteration(fine_op.diag, fine_op.off_diag, e_fine, 1e-12, 50)
+
+def _eigenvector(stage: _Eigenvalues, ndim) -> EigenResult:
+    """Groundstate vector on the stage's fine grid, by inverse iteration."""
+    fine_op = stage.fine_op
+    vec, sweeps = _kernels.inverse_iteration(fine_op.diag, fine_op.off_diag, stage.pair[1], 1e-12, 50)
     if sweeps < 0:
         raise RuntimeError("inverse iteration did not converge in 50 sweeps")
     if vec.sum() < 0.0:
@@ -214,9 +250,7 @@ def _solve_fixed(v_at, extra_potential, r_max, n_points, ndim) -> EigenResult:
     dr = grid.spacing
     psi = vec / r ** ((ndim - 1.0) / 2.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
-    return EigenResult(
-        energy=energy, vector=psi, grid=grid, richardson_pair=(e_coarse, e_fine)
-    )
+    return EigenResult(energy=stage.energy, vector=psi, grid=grid, richardson_pair=stage.pair)
 
 
 @dataclass(frozen=True)

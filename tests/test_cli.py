@@ -292,6 +292,19 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_unconverged_vector_exits_1(self, monkeypatch, capsys):
+        inverse_iteration = sombrero._kernels.inverse_iteration
+
+        def unconverged(*args):
+            vec, _ = inverse_iteration(*args)
+            return vec, -1
+
+        monkeypatch.setattr(sombrero._kernels, "inverse_iteration", unconverged)
+        code, out, err = run_cli(["verify", *WORKED_FLAGS, "--rmax", "8"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "oracle failed: inverse iteration did not converge in 50 sweeps\n"
+
     def test_small_grid_exits_2(self, capsys):
         code, _, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "8"], capsys)
         assert code == 2
@@ -348,6 +361,17 @@ class TestFlagTypes:
         assert out == ""
         assert f"argument {flag}:" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NaN"])
+    @pytest.mark.parametrize("command,flag", NUMERIC)
+    def test_separate_negative_non_finite_value_reaches_the_type(self, command, flag, value, tmp_path, capsys):
+        flags = {**VALID[command], flag: value}
+        code, out, err = run_cli(argv_for(command, flags, tmp_path / "x.csv"), capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+        assert value in err
+        assert "expected one argument" not in err
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
         def fail():

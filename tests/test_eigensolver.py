@@ -24,6 +24,7 @@ from sombrero import (
     trial_split,
     verify_solution,
 )
+from sombrero import _kernels, eigensolver
 from conftest import random_potential
 
 
@@ -219,6 +220,62 @@ class TestVerifySolution:
         assert "oracle_energy_vs_e0" in report.failures
         assert "m_zero_residual" in report.failures
         assert abs(report.m_residual) > 1e-3
+
+
+class TestStages:
+    """Trial domains compare energies only; the eigenvector is computed
+    once, on the domain the solve returns, from the same grids as before."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"inverse_iteration": 0, "discretize": []}
+        inverse_iteration, discretize_ = _kernels.inverse_iteration, eigensolver.discretize
+
+        def counted_inverse_iteration(*args):
+            calls["inverse_iteration"] += 1
+            return inverse_iteration(*args)
+
+        def recorded_discretize(potential, extra_potential, grid, **kwargs):
+            calls["discretize"].append((grid.r_max, grid.n_points))
+            return discretize_(potential, extra_potential, grid, **kwargs)
+
+        monkeypatch.setattr(_kernels, "inverse_iteration", counted_inverse_iteration)
+        monkeypatch.setattr(eigensolver, "discretize", recorded_discretize)
+        return calls
+
+    def test_worked_case_auto_domain(self, worked_potential, calls):
+        res = groundstate(worked_potential, n_points=2000)
+        assert res.grid.r_max == 8.0
+        assert calls["inverse_iteration"] == 1
+        assert calls["discretize"] == [(8.0, 2000), (8.0, 4000), (10.0, 2000), (10.0, 4000)]
+
+    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
+    def test_three_domains(self, calls):
+        # the g = 0.01 case of TestPinnedAnswers, which keeps the second of three domains
+        (eta,) = solve_eta(1.5, 3)
+        res = groundstate(params_from_lambda(0.01, 1.5, eta, 3).potential, n_points=2000)
+        assert res.grid.r_max == 10.0
+        assert calls["inverse_iteration"] == 1
+        assert calls["discretize"] == [
+            (8.0, 2000), (8.0, 4000), (10.0, 2000), (10.0, 4000), (12.5, 2000), (12.5, 4000),
+        ]
+
+    def test_explicit_domain(self, worked_potential, calls):
+        groundstate(worked_potential, r_max=8.0, n_points=2000)
+        assert calls["inverse_iteration"] == 1
+        assert calls["discretize"] == [(8.0, 2000), (8.0, 4000)]
+
+    @pytest.mark.parametrize("r_max", [8.0, None])
+    def test_unconverged_vector_raises(self, worked_potential, monkeypatch, r_max):
+        inverse_iteration = _kernels.inverse_iteration
+
+        def unconverged(*args):
+            vec, _ = inverse_iteration(*args)
+            return vec, -1
+
+        monkeypatch.setattr(_kernels, "inverse_iteration", unconverged)
+        with pytest.raises(RuntimeError, match="^inverse iteration did not converge in 50 sweeps$"):
+            groundstate(worked_potential, r_max=r_max, n_points=2000)
 
 
 class TestPinnedAnswers:

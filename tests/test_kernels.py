@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sombrero import _kernels
 
@@ -31,8 +33,10 @@ def dense_groundstate(d, e):
     return vals[0], vecs[:, 0]
 
 
-def loop_smallest_eigenvalue(d, e, abs_tol):
-    """Reference: Gershgorin bracket and full Sturm count at every probe."""
+def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
+    """Reference: Gershgorin bracket and full Sturm count at every probe.
+
+    Appends each probed mid to visited, if given."""
     n = d.shape[0]
     if n == 1:
         return d[0]
@@ -56,6 +60,8 @@ def loop_smallest_eigenvalue(d, e, abs_tol):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
+        if visited is not None:
+            visited.append(mid)
         count = 0
         q = d[0] - mid
         if abs(q) < pivmin:
@@ -157,11 +163,42 @@ def loop_inverse_iteration(d, e, sigma, rel_tol, max_iter):
     return v, -1
 
 
-def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50):
+def hint_sets(d, e, ref, visited, rng):
+    """Hint lists for smallest_eigenvalue that must not change its result:
+    at the eigenvalue and one ulp either side, far outside the Gershgorin
+    bracket, at mids the bisection visits, at random, and non-finite."""
+    entries = np.concatenate([d, e])
+    reach = 1.0 + 3.0 * float(np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0))
+    below, above = np.nextafter(ref, -math.inf), np.nextafter(ref, math.inf)
+    sets = [
+        (ref,),
+        (below,),
+        (above,),
+        (below, above),
+        (above, ref, below),
+        (-1e3 * reach,),
+        (1e3 * reach,),
+        (-1e3 * reach, 1e3 * reach),
+        tuple(rng.uniform(-reach, reach, 4)),
+        (math.nan,),
+        (math.inf, -math.inf),
+        (below, math.nan, above),
+    ]
+    for mid in (visited[0], visited[len(visited) // 2], visited[-1]) if visited else ():
+        sets.append((mid,))
+        sets.append((np.nextafter(mid, -math.inf), np.nextafter(mid, math.inf)))
+    return sets
+
+
+def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50, hints_seed=0):
     with np.errstate(all="ignore"):
         got = _kernels.smallest_eigenvalue(d, e, tol)
-        ref = loop_smallest_eigenvalue(d, e, tol)
+        visited = []
+        ref = loop_smallest_eigenvalue(d, e, tol, visited)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        for hints in hint_sets(d, e, float(ref), visited, np.random.default_rng(hints_seed)):
+            hinted = _kernels.smallest_eigenvalue(d, e, tol, hints)
+            assert np.float64(hinted).tobytes() == np.float64(ref).tobytes(), hints
         for sigma in sigmas:
             sigma = ref if sigma is None else sigma
             v, sweeps = _kernels.inverse_iteration(d, e, sigma, rel_tol, max_iter)
@@ -172,7 +209,8 @@ def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50):
 
 class TestMatchesLoopReference:
     """The kernels perform the loop version's IEEE-754 operations in the
-    same order, so every result is identical to the last bit."""
+    same order, so every result is identical to the last bit, whatever
+    hints the bisection is given."""
 
     def test_random_matrices(self):
         rng = np.random.default_rng(71)
@@ -182,7 +220,7 @@ class TestMatchesLoopReference:
             e = rng.uniform(-3.0, 3.0, n - 1) * 10 ** rng.uniform(-3, 3)
             if k % 7 == 0:
                 e[rng.integers(0, max(n - 1, 1)):] = 0.0  # split into blocks
-            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), sigmas=(None, rng.uniform(-5, 5)))
+            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), sigmas=(None, rng.uniform(-5, 5)), hints_seed=k)
 
     def test_unconverged_sweeps(self):
         rng = np.random.default_rng(73)
@@ -213,6 +251,33 @@ class TestMatchesLoopReference:
             e_bad = e.copy()
             e_bad[min(pos, 8)] = bad
             assert_same_bits(d, e_bad, 1e-12, sigmas=(1.0,))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_hints_never_change_the_eigenvalue(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        entry = st.one_of(
+            st.floats(-1e3, 1e3),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        d = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d"))
+        e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
+        tol = data.draw(st.sampled_from([1e-13, 1e-9, 1e-3]), label="tol")
+        visited = []
+        with np.errstate(all="ignore"):
+            ref = float(loop_smallest_eigenvalue(d, e, tol, visited))
+        near = [ref] + visited
+        point = st.one_of(
+            st.sampled_from(near).map(lambda x: float(np.nextafter(x, math.inf))),
+            st.sampled_from(near).map(lambda x: float(np.nextafter(x, -math.inf))),
+            st.sampled_from(near),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        hints = data.draw(st.lists(point, max_size=4), label="hints")
+        with np.errstate(all="ignore"):
+            got = _kernels.smallest_eigenvalue(d, e, tol, hints)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestSmallestEigenvalue:
