@@ -24,10 +24,8 @@ from .potential import (
     JackiwForm,
     LambdaForm,
     PotentialParams,
-    asymptotic_radius,
     eval_potential,
     from_jackiw_form,
-    to_jackiw_form,
 )
 from .solvers import (
     JackiwBranch,
@@ -58,9 +56,7 @@ from .wavefunction import (
     eval_psi,
     eval_s0,
     maxima_radius,
-    norm_squared,
     schrodinger_residual,
-    schrodinger_residual_origin,
 )
 
 __all__ = [
@@ -77,10 +73,8 @@ __all__ = [
     "JackiwForm",
     "LambdaForm",
     "PotentialParams",
-    "asymptotic_radius",
     "eval_potential",
     "from_jackiw_form",
-    "to_jackiw_form",
     "JackiwBranch",
     "NoRootError",
     "ZeroModeSolution",
@@ -105,7 +99,5 @@ __all__ = [
     "eval_psi",
     "eval_s0",
     "maxima_radius",
-    "norm_squared",
     "schrodinger_residual",
-    "schrodinger_residual_origin",
 ]

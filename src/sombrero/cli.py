@@ -231,7 +231,7 @@ def cmd_jackiw(args) -> int:
 def _oracle_report(sol: ZeroModeSolution, args):
     try:
         return verify_solution(sol, VerifyTolerances(r_max=args.rmax, n_points=args.grid))
-    except RuntimeError as exc:  # domain drifting, grid too coarse, no convergence
+    except RuntimeError as exc:  # unconfined potential, grid too coarse, no convergence
         raise OracleFailure(str(exc)) from exc
 
 
@@ -287,7 +287,9 @@ def _add_potential_flags(sub, g_type=_POSITIVE):
 
 
 def _add_oracle_flags(sub):
-    sub.add_argument("--rmax", type=_POSITIVE, default=None, help="oracle domain (default: auto)")
+    sub.add_argument(
+        "--rmax", type=_POSITIVE, default=None, help="oracle domain (default: from the potential's length scale)"
+    )
     sub.add_argument("--grid", type=_GRID, default=2000, help="oracle grid points")
 
 

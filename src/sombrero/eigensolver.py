@@ -8,9 +8,10 @@ Dirichlet.  A similarity transform by r^((N-1)/2) makes the operator an
 exactly symmetric tridiagonal matrix, whose smallest eigenvalue comes
 from Sturm-sequence bisection.  Each energy is computed at spacings dr
 and dr/2 and Richardson-extrapolated, cancelling the leading O(dr^2)
-error.  The groundstate vector comes from inverse iteration, once per
-solve, on the fine grid of the domain the solve accepts; the trial
-domains of the automatic domain search compare energies only.
+error.  The groundstate vector comes from inverse iteration on the fine
+grid.  Each solve uses one domain: an explicit r_max, or for the sextic
+family one derived from the potential's own length scale, so that a
+rescaled potential r -> s r gets a domain exactly s times as wide.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -28,8 +29,10 @@ from .solvers import ZeroModeSolution
 from .trial import m_zero_residual, satisfies_m_zero, satisfies_zero_energy, trial_split, zero_energy_residual
 from .wavefunction import TrialWavefunction, derivatives_s0, eval_psi, schrodinger_residual
 
-DEFAULT_R_MAX = 8.0
 MIN_GRID_POINTS = 16
+# decay exponent of psi, in WKB terms, between the outermost turning
+# point of the energy bound and the automatic domain's outer wall
+_WKB_REACH = 40.0
 # half-width, in units of the energy scale, of the bracket around an
 # eigenvalue estimate that is probed before a bisection starts
 _HINT_WIDTH = 1e-6
@@ -104,9 +107,10 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     potential is either PotentialParams or a vectorized callable V(r)
     (then n_dim is required); extra_potential, if given, is subtracted
     from V.  Raises ValueError naming the first grid radius where
-    V - extra_potential is NaN or infinite.  Warns when V(r_max) is small
-    compared to the energy scale, i.e. when the Dirichlet wall may
-    truncate a barely confined state.
+    V - extra_potential is NaN or infinite.  Warns when V(r_max) is below
+    10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may truncate
+    a barely confined state; both terms scale like V under r -> s r, so
+    the test does not depend on the choice of units.
     """
     if grid is None:
         raise ValueError("discretize requires a RadialGrid")
@@ -118,10 +122,7 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     v = np.asarray(v_at(r), dtype=float)
     if extra_potential is not None:
         v = v - np.asarray(extra_potential(r), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(f"potential is not finite at r = {r[j]:.9g} (value {v[j]})")
+    _require_finite(v, r)
 
     faces = np.arange(n + 1) * dr
     w = faces ** (ndim - 1.0)
@@ -130,8 +131,8 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     diag = 0.5 * (w[:-1] + w[1:]) / (rw * dr * dr) + v
     off = -0.5 * w[1:-1] / (dr * dr * np.sqrt(rw[:-1] * rw[1:]))
 
-    v_edge = float(np.asarray(v_at(np.array([grid.r_max])))[0])
-    if v_edge < 10.0 * _energy_scale(v_at, grid.r_max):
+    v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
+    if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
         warnings.warn(
             f"V(r_max={grid.r_max:g}) = {v_edge:.3g} is small; the domain may be "
             "too short to confine the groundstate",
@@ -141,10 +142,51 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     return TridiagonalOperator(diag=diag, off_diag=off, grid=grid)
 
 
+def _require_finite(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"potential is not finite at r = {r[j]:.9g} (value {v[j]})")
+    return v
+
+
 def _energy_scale(v_at, r_max: float) -> float:
     v0 = float(np.asarray(v_at(np.array([0.0])))[0])
     v_edge = float(np.asarray(v_at(np.array([r_max])))[0])
     return max(1.0, abs(v0), abs(v_edge) ** (1.0 / 3.0))
+
+
+def _domain_radius(p: PotentialParams) -> float:
+    """Outer radius of the domain for a sextic potential, from V and N alone.
+
+    L = max(g^-1/4, sqrt|alpha|, |beta|^1/4, sqrt|A|) is the potential's
+    length scale.  On 1600 samples of (0, 8L], E_b = min over R of
+    [max_{r<=R} V + j^2/(2R^2)] bounds the groundstate energy from above:
+    for each R it is the largest V in the ball of radius R plus the
+    ball's lowest Dirichlet kinetic energy, with j = sqrt(N/2)
+    (sqrt(N/2+1) + 1) no smaller than the first zero of J_{N/2-1}.  The
+    domain ends where the WKB exponent, the integral of
+    sqrt(2(V - E_b)) dr from the outermost turning point of E_b, reaches
+    _WKB_REACH.  Every step scales with L, so r -> s r gives a radius s
+    times as large.
+    """
+    length = max(p.g**-0.25, math.sqrt(abs(p.alpha)), abs(p.beta) ** 0.25, math.sqrt(abs(p.bigA)))
+    dr = 8.0 * length / 1600
+    r = dr * np.arange(1, 1601)
+    v = _require_finite(eval_potential(p, r), r)
+    half_n = 0.5 * p.n_dim
+    j = math.sqrt(half_n) * (math.sqrt(half_n + 1.0) + 1.0)
+    e_bound = float(np.min(np.maximum.accumulate(v) + 0.5 * j * j / (r * r)))
+    # the first sample lies below E_b, so a turning point always exists
+    turning = np.flatnonzero(v <= e_bound)[-1]
+    decay = np.sqrt(2.0 * np.maximum(v[turning:] - e_bound, 0.0))
+    reach = np.concatenate(([0.0], np.cumsum(0.5 * dr * (decay[:-1] + decay[1:]))))
+    if not reach[-1] >= _WKB_REACH:
+        raise RuntimeError(
+            f"V stays within reach of its energy bound {e_bound:.6g} out to r = {r[-1]:.6g}; "
+            "it does not confine the groundstate (pass r_max explicitly)"
+        )
+    return float(np.interp(_WKB_REACH, reach, r[turning:]))
 
 
 def groundstate(
@@ -156,86 +198,45 @@ def groundstate(
 ) -> EigenResult:
     """Smallest eigenvalue and groundstate vector of V - extra_potential.
 
-    Solves at spacings dr and dr/2 (n_points and 2*n_points cells),
-    Richardson-extrapolates the energy, and reports the eigenvector on
-    the finer grid.  With r_max=None the domain starts at 8 and is
-    extended by 25% (up to three times) until the extrapolated energy is
-    stable to 1e-9 * scale; an explicit r_max is used as given.  Trial
-    domains compare energies only: the eigenvector is computed once, on
-    the domain the solve returns.
+    Solves at spacings dr and dr/2 (n_points and 2*n_points cells) on
+    one domain [0, r_max], Richardson-extrapolates the energy, and
+    reports the eigenvector on the finer grid.  With r_max=None a
+    PotentialParams potential gets the radius where its groundstate has
+    decayed by about e^-40, found from V and N alone (extra_potential is
+    not consulted); see _domain_radius.  A callable potential needs an
+    explicit r_max, as it needs an explicit n_dim.
 
     PotentialParams inputs must have g > 0 for confinement; a callable
-    potential (with n_dim) is trusted to confine on its own.
+    potential is trusted to confine on its own.
     """
     if isinstance(potential, PotentialParams) and not (potential.g > 0):
         raise ValueError(f"groundstate requires g > 0 for confinement, got g={potential.g}")
     v_at, ndim = _resolve_potential(potential, n_dim)
+    if r_max is None:
+        if not isinstance(potential, PotentialParams):
+            raise ValueError("a callable potential needs an explicit r_max")
+        r_max = _domain_radius(potential)
+    r_max = float(r_max)
 
-    if r_max is not None:
-        return _eigenvector(_eigenvalues(v_at, extra_potential, float(r_max), n_points, ndim), ndim)
-
-    rm = DEFAULT_R_MAX
-    current = _eigenvalues(v_at, extra_potential, rm, n_points, ndim)
-    for _ in range(3):
-        # at fixed n_points the wider domain's dr^2 is 1.25^2 times this one's,
-        # and so, to leading order, is the coarse grid's error
-        guess = current.energy + 1.5625 * (current.pair[0] - current.energy)
-        wider = _eigenvalues(v_at, extra_potential, 1.25 * rm, n_points, ndim, guess)
-        if abs(current.energy - wider.energy) <= 1e-9 * current.scale:
-            return _eigenvector(current, ndim)
-        rm *= 1.25
-        current = wider
-    raise RuntimeError(
-        f"groundstate energy still drifting at r_max={rm:g}; the potential "
-        "may be too shallow for the default domain (pass r_max explicitly)"
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class _Eigenvalues:
-    """The eigenvalue stage on one domain: the Richardson-extrapolated
-    energy, the raw (coarse, fine) pair, the fine operator the vector
-    stage factors, and the domain's energy scale."""
-
-    energy: float
-    pair: tuple[float, float]
-    fine_op: TridiagonalOperator
-    scale: float
-
-
-def _eigenvalues(v_at, extra_potential, r_max, n_points, ndim, guess=None) -> _Eigenvalues:
-    """Smallest eigenvalues at n_points and 2*n_points cells, extrapolated.
-
-    guess, if given, estimates the coarse eigenvalue; the coarse one in
-    turn estimates the fine one.  An estimate only shortens the
-    bisection (see _kernels.smallest_eigenvalue); the result is the same.
-    """
     scale = _energy_scale(v_at, r_max)
     bisect_tol = 1e-12 * scale
-    width = _HINT_WIDTH * scale
-
     energies = []
-    fine_op = None
+    hints = ()
     for n in (n_points, 2 * n_points):
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
-        hints = () if guess is None else (guess - width, guess + width)
-        guess = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints))
-        energies.append(guess)
-        fine_op = op
+        # a hint only shortens the bisection (see _kernels.smallest_eigenvalue)
+        energy = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints))
+        energies.append(energy)
+        hints = (energy - _HINT_WIDTH * scale, energy + _HINT_WIDTH * scale)
     e_coarse, e_fine = energies
     if abs(e_coarse - e_fine) > 0.1 * scale:
         raise RuntimeError(
             f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
             f"10% of scale {scale:.3g}: grid too coarse"
         )
-    energy = (4.0 * e_fine - e_coarse) / 3.0
-    return _Eigenvalues(energy=energy, pair=(e_coarse, e_fine), fine_op=fine_op, scale=scale)
 
-
-def _eigenvector(stage: _Eigenvalues, ndim) -> EigenResult:
-    """Groundstate vector on the stage's fine grid, by inverse iteration."""
-    fine_op = stage.fine_op
-    vec, sweeps = _kernels.inverse_iteration(fine_op.diag, fine_op.off_diag, stage.pair[1], 1e-12, 50)
+    # op is the fine grid's operator, the last one the loop built
+    vec, sweeps = _kernels.inverse_iteration(op.diag, op.off_diag, e_fine, 1e-12, 50)
     if sweeps < 0:
         raise RuntimeError("inverse iteration did not converge in 50 sweeps")
     if vec.sum() < 0.0:
@@ -245,12 +246,14 @@ def _eigenvector(stage: _Eigenvalues, ndim) -> EigenResult:
     # entries below the solver noise floor can carry stray signs; fold them up
     vec = np.abs(vec)
 
-    grid = fine_op.grid
+    grid = op.grid
     r = grid.points
     dr = grid.spacing
     psi = vec / r ** ((ndim - 1.0) / 2.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
-    return EigenResult(energy=stage.energy, vector=psi, grid=grid, richardson_pair=stage.pair)
+    return EigenResult(
+        energy=(4.0 * e_fine - e_coarse) / 3.0, vector=psi, grid=grid, richardson_pair=(e_coarse, e_fine)
+    )
 
 
 @dataclass(frozen=True)

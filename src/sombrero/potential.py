@@ -86,22 +86,3 @@ def from_jackiw_form(j: JackiwForm, g: float, n_dim: int) -> PotentialParams:
     alpha = 2.0 * j.r0_sq
     beta = j.r0_sq**2 * (1.0 - j.mu)
     return PotentialParams(g=g, alpha=alpha, beta=beta, bigA=j.eta * alpha, n_dim=n_dim)
-
-
-def to_jackiw_form(p: PotentialParams) -> JackiwForm:
-    """Invert from_jackiw_form: r0^2 = alpha/2, mu = 1 - beta/r0^4, eta = A/alpha.
-
-    Only defined for alpha > 0 (the form forces alpha = 2 r0^2 > 0).
-    """
-    if not (p.alpha > 0):
-        raise ValueError(f"Jackiw form requires alpha > 0, got alpha={p.alpha}")
-    r0_sq = 0.5 * p.alpha
-    return JackiwForm(r0_sq=r0_sq, mu=1.0 - p.beta / r0_sq**2, eta=p.bigA / p.alpha)
-
-
-def asymptotic_radius(p: PotentialParams) -> float:
-    """Radius beyond which the sextic term dominates.
-
-    For r >= this radius, V(r) > 0 and V(r)/r^6 stays within 1% of g^2/2.
-    """
-    return float(np.sqrt(100.0 * (1.0 + abs(p.alpha) + abs(p.beta) + abs(p.bigA))))

@@ -101,66 +101,16 @@ def maxima_radius(w: TrialWavefunction) -> PeakLocation:
     return PeakLocation(radius=best, valley_at_origin=best > 0.0)
 
 
-def norm_squared(w: TrialWavefunction) -> float:
-    """Integral of psi(r)^2 r^(N-1) dr over [0, inf).
-
-    Composite Simpson on [0, R] with R pushed out until 2 S0(R) > 80
-    (integrand below ~1e-35), doubling the panel count until the value
-    is stable to 1e-10 relative.  Requires a > 0 for normalizability.
-    """
-    t = w.trial
-    if not (t.a > 0):
-        raise ValueError(f"norm requires a > 0 for decay, got a={t.a}")
-    n_dim = w.potential.n_dim
-
-    # start beyond the last stationary point, then push until the tail is dead
-    r_cut = math.sqrt((abs(t.c) + abs(t.m)) / (2.0 * t.a)) + 1.0
-    while 2.0 * eval_s0(w, r_cut) <= 80.0:
-        r_cut *= 1.25
-
-    def integrand(r):
-        s = eval_s0(w, r)
-        with np.errstate(under="ignore"):
-            val = np.exp(-2.0 * s) * r ** (n_dim - 1)
-        return val
-
-    panels = 64
-    previous = _simpson(integrand, 0.0, r_cut, panels)
-    for _ in range(20):
-        panels *= 2
-        current = _simpson(integrand, 0.0, r_cut, panels)
-        if abs(current - previous) <= 1e-10 * abs(current):
-            return current
-        previous = current
-    raise RuntimeError("norm quadrature did not converge to 1e-10 relative")
-
-
-def _simpson(f, a, b, panels):
-    x = np.linspace(a, b, 2 * panels + 1)
-    y = f(x)
-    h = (b - a) / (2 * panels)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
 def schrodinger_residual(w: TrialWavefunction, e: float, r):
     """Pointwise residual S0'^2 - ((N-1)/r) S0' - S0'' - 2 (V(r) - e).
 
     Vanishes identically when psi is an exact eigenstate of V at energy e.
-    Singular form: r must be strictly positive (use
-    schrodinger_residual_origin for the r -> 0 limit).
+    Singular form: r must be strictly positive.
     """
     rr = np.asarray(r, dtype=float)
     if np.any(rr <= 0.0):
-        raise ValueError("residual requires r > 0; use schrodinger_residual_origin at r = 0")
+        raise ValueError("residual requires r > 0")
     n = w.potential.n_dim
     d1, d2 = derivatives_s0(w, rr)
     val = d1 * d1 - (n - 1.0) / rr * d1 - d2 - 2.0 * (eval_potential(w.potential, rr) - e)
     return val if np.ndim(r) else float(val)
-
-
-def schrodinger_residual_origin(w: TrialWavefunction, e: float) -> float:
-    """r -> 0 limit of the residual, using S0'(r)/r -> -2c + 2m."""
-    t = w.trial
-    n = w.potential.n_dim
-    v0 = eval_potential(w.potential, 0.0)
-    return n * (2.0 * t.c - 2.0 * t.m) - 2.0 * (v0 - e)

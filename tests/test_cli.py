@@ -248,6 +248,11 @@ class TestEtaMu:
         assert doc["verification"]["verdict"] == "PASS"
         assert abs(doc["verification"]["oracle_energy"]) < 1e-6
 
+    def test_large_g_verifies_on_the_auto_domain(self, capsys):
+        code, out, _ = run_cli(["eta-mu", "--g", "100", "--N", "3"], capsys)
+        assert code == 0
+        assert parse_table(out)["verification.verdict"] == "PASS"
+
     def test_no_root_exits_1(self, capsys):
         code, _, err = run_cli(["eta-mu", "--g", "0.5", "--N", "3"], capsys)
         assert code == 1
@@ -273,6 +278,15 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verification"]["verdict"] == "PASS"
         assert abs(doc["verification"]["oracle_energy"]) < 1e-6
+
+    @pytest.mark.parametrize("g", [1e-3, 2e4])
+    def test_extreme_g_passes_on_the_auto_domain(self, g, capsys):
+        (eta,) = sombrero.solve_eta(1.5, 3)
+        p = sombrero.params_from_lambda(g, 1.5, eta, 3).potential
+        flags = ["--g", repr(p.g), "--alpha", repr(p.alpha), "--beta", repr(p.beta), "--A", repr(p.bigA), "--N", "3"]
+        code, out, _ = run_cli(["verify", *flags], capsys)
+        assert code == 0
+        assert parse_table(out)["verification.verdict"] == "PASS"
 
     def test_perturbed_beta_fails_with_m_flag(self, capsys):
         flags = list(WORKED_FLAGS)

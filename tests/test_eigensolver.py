@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sombrero import (
     GridExtentWarning,
@@ -163,21 +165,21 @@ class TestZeroModeOracle:
 
 
 class TestDomainHandling:
-    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
-    def test_auto_extend_for_shallow_potential(self):
-        res = groundstate(lambda r: 0.02 * r * r, n_dim=3, n_points=1000)
-        assert res.grid.r_max > 8.0
-        assert res.energy == pytest.approx(0.3, abs=1e-6)
+    def test_callable_requires_domain(self):
+        with pytest.raises(ValueError, match="r_max"):
+            groundstate(lambda r: 0.02 * r * r, n_dim=3, n_points=1000)
 
     def test_auto_domain_accepts_confined_case(self, worked_potential):
-        res = groundstate(worked_potential, n_points=1000)
-        assert res.grid.r_max == 8.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            res = groundstate(worked_potential, n_points=1000)
         assert abs(res.energy) < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
     def test_unconfinable_raises(self):
-        with pytest.raises(RuntimeError, match="drifting"):
-            groundstate(lambda r: 1e-4 * r * r, n_dim=3, n_points=500)
+        # g^2 underflows, so V samples as 0 everywhere on (0, 8 g^-1/4]
+        p = PotentialParams(g=1e-300, alpha=0.0, beta=0.0, bigA=0.0, n_dim=3)
+        with pytest.raises(RuntimeError, match="does not confine"):
+            groundstate(p, n_points=500)
 
     def test_unresolved_well_raises_grid_too_coarse(self):
         with warnings.catch_warnings():
@@ -222,9 +224,40 @@ class TestVerifySolution:
         assert abs(report.m_residual) > 1e-3
 
 
+class TestScaleCovariance:
+    """r -> s r, g -> g s^-4, alpha -> alpha s^2, beta -> beta s^4 and
+    A -> A s^2 map the family onto itself with E -> E s^-2, so the
+    oracle's domain, energy and verdict must follow."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        s=st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+        n_dim=st.integers(1, 9),
+        lambda_=st.floats(1.0, 10.0, exclude_min=True),
+    )
+    def test_rescaled_family(self, s, n_dim, lambda_):
+        roots = solve_eta(lambda_, n_dim)
+        assume(roots)
+        base = params_from_lambda(1.5, lambda_, roots[0], n_dim).potential
+        scaled = PotentialParams(
+            g=base.g * s**-4, alpha=base.alpha * s**2, beta=base.beta * s**4, bigA=base.bigA * s**2, n_dim=n_dim
+        )
+        assert eigensolver._domain_radius(scaled) == pytest.approx(
+            s * eigensolver._domain_radius(base), rel=1e-12
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            one, other = (
+                verify_solution(ZeroModeSolution(potential=p, trial=derive_trial(p))) for p in (base, scaled)
+            )
+        moderate = 1e-3 <= scaled.g <= 2e4
+        assert abs(other.oracle_energy * s * s - one.oracle_energy) <= (1e-9 if moderate else 1e-8)
+        if moderate:
+            assert other.passed == one.passed
+
+
 class TestStages:
-    """Trial domains compare energies only; the eigenvector is computed
-    once, on the domain the solve returns, from the same grids as before."""
+    """One domain per solve: two discretizations and one eigenvector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -243,22 +276,15 @@ class TestStages:
         monkeypatch.setattr(eigensolver, "discretize", recorded_discretize)
         return calls
 
-    def test_worked_case_auto_domain(self, worked_potential, calls):
-        res = groundstate(worked_potential, n_points=2000)
-        assert res.grid.r_max == 8.0
-        assert calls["inverse_iteration"] == 1
-        assert calls["discretize"] == [(8.0, 2000), (8.0, 4000), (10.0, 2000), (10.0, 4000)]
-
-    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
-    def test_three_domains(self, calls):
-        # the g = 0.01 case of TestPinnedAnswers, which keeps the second of three domains
+    @pytest.mark.parametrize("g", [1.5, 0.01])
+    def test_auto_domain(self, g, calls):
+        # g = 1.5 is the worked case; r_max scales as g^(-1/4) along the family
         (eta,) = solve_eta(1.5, 3)
-        res = groundstate(params_from_lambda(0.01, 1.5, eta, 3).potential, n_points=2000)
-        assert res.grid.r_max == 10.0
+        res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential, n_points=2000)
+        r_max = res.grid.r_max
+        assert r_max == pytest.approx(3.4622492 * (1.5 / g) ** 0.25, rel=1e-7)
         assert calls["inverse_iteration"] == 1
-        assert calls["discretize"] == [
-            (8.0, 2000), (8.0, 4000), (10.0, 2000), (10.0, 4000), (12.5, 2000), (12.5, 4000),
-        ]
+        assert calls["discretize"] == [(r_max, 2000), (r_max, 4000)]
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)
@@ -306,18 +332,16 @@ class TestPinnedAnswers:
             8.0,
         )
 
-    @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
-    def test_auto_domain_three_domains(self):
-        # g = 0.01: the energy still moves from r_max 8 to 10, settles
-        # from 10 to 12.5, so the solve tries three domains and keeps 10
+    def test_auto_domain(self):
+        # g = 0.01 on the domain derived from V, r_max = 3.4622492 (150)^(1/4)
         (eta,) = solve_eta(1.5, 3)
         sol = params_from_lambda(0.01, 1.5, eta, 3)
         self.assert_pinned(
             groundstate(sol.potential, n_points=2000),
-            "0x1.f63a87d34aaabp-40",
-            ("-0x1.76252972d14c7p-23", "-0x1.7622381b058f8p-25"),
-            "7f46662131fa6c7a55e8b4bda5e9235be080a9ced04af47f6640d23e7957a2ab",
-            10.0,
+            "-0x1.07785d41caaabp-38",
+            ("-0x1.12a61f8c3fdf6p-22", "-0x1.12a935f557a4cp-24"),
+            "f612bb34a53b8bd6c4e02b9fdd5ac95c7859170097dd17e9e897d6f8c36a5cba",
+            12.116610267070016,
         )
 
     def test_callable_extra_potential(self):

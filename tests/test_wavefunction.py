@@ -1,4 +1,4 @@
-"""Trial wavefunction evaluation, extrema, normalization, and residuals."""
+"""Trial wavefunction evaluation, extrema, and residuals."""
 
 import math
 
@@ -14,9 +14,7 @@ from sombrero import (
     eval_psi,
     eval_s0,
     maxima_radius,
-    norm_squared,
     schrodinger_residual,
-    schrodinger_residual_origin,
     solve_eta_mu,
 )
 
@@ -154,38 +152,6 @@ class TestMaxima:
         assert not peak.valley_at_origin
 
 
-class TestNormSquared:
-    def test_pure_quartic_half_line(self):
-        # integral of exp(-r^4/2) over [0, inf) = Gamma(5/4) 2^(1/4),
-        # precomputed by 40-digit quadrature
-        w = TrialWavefunction(
-            trial=TrialParams(a=0.25, c=0.0, m=0.0),
-            potential=PotentialParams(g=1.0, alpha=0, beta=0, bigA=0, n_dim=1),
-        )
-        assert norm_squared(w) == pytest.approx(1.0779002747704640, rel=1e-10)
-
-    def test_quartic_scaling_law(self):
-        # r -> s r maps norm(a) to (a'/a)^(-N/4) norm(a')
-        for n_dim in (1, 2, 3, 5):
-            p = PotentialParams(g=1.0, alpha=0, beta=0, bigA=0, n_dim=n_dim)
-            w1 = TrialWavefunction(trial=TrialParams(a=0.2, c=0.0, m=0.0), potential=p)
-            w2 = TrialWavefunction(trial=TrialParams(a=3.2, c=0.0, m=0.0), potential=p)
-            ratio = norm_squared(w2) / norm_squared(w1)
-            assert ratio == pytest.approx(16.0 ** (-n_dim / 4.0), rel=1e-9)
-
-    def test_reference_case_finite_positive(self, worked_potential):
-        value = norm_squared(reference_wavefunction(worked_potential))
-        assert 0.0 < value < math.inf
-
-    def test_rejects_nonpositive_quartic_coefficient(self):
-        w = TrialWavefunction(
-            trial=TrialParams(a=-0.1, c=0.0, m=0.0),
-            potential=PotentialParams(g=1.0, alpha=0, beta=0, bigA=0, n_dim=3),
-        )
-        with pytest.raises(ValueError, match="a > 0"):
-            norm_squared(w)
-
-
 class TestSchrodingerResidual:
     def test_reference_solution_is_exact(self, worked_potential):
         w = reference_wavefunction(worked_potential)
@@ -209,10 +175,3 @@ class TestSchrodingerResidual:
         w = reference_wavefunction(worked_potential)
         with pytest.raises(ValueError, match="r > 0"):
             schrodinger_residual(w, 0.0, 0.0)
-
-    def test_origin_limit(self, worked_potential):
-        w = reference_wavefunction(worked_potential)
-        assert abs(schrodinger_residual_origin(w, 0.0)) < 1e-12
-        # limit agrees with small-r evaluations
-        small = schrodinger_residual(w, 0.0, 1e-6)
-        assert schrodinger_residual_origin(w, 0.0) == pytest.approx(small, abs=1e-9)
