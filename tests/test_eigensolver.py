@@ -1,5 +1,6 @@
 """Radial eigensolver: calibration, invariants, and oracle-vs-closed-form."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -73,6 +74,19 @@ class TestDiscretize:
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridExtentWarning)
             discretize(worked_potential, grid=grid)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    def test_warning_threshold_is_unit_free(self, s):
+        # V = r^2 / (2 s^4) is the unit oscillator with r -> r / s; the
+        # threshold 10 / r_max^2 is crossed at r_max = 20^(1/4) s = 2.115 s
+        def v(r):
+            return 0.5 * r * r / s**4
+
+        with pytest.warns(GridExtentWarning):
+            discretize(v, grid=RadialGrid.make(2.0 * s, 64), n_dim=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            discretize(v, grid=RadialGrid.make(2.3 * s, 64), n_dim=3)
 
     def test_extra_potential_shifts_diagonal(self, worked_potential):
         grid = RadialGrid.make(8.0, 64)
@@ -174,6 +188,35 @@ class TestDomainHandling:
             warnings.simplefilter("error", GridExtentWarning)
             res = groundstate(worked_potential, n_points=1000)
         assert abs(res.energy) < 1e-6
+
+    @pytest.mark.parametrize("g", [1e-6, 1e-4])
+    def test_auto_domain_at_small_g_does_not_warn(self, g):
+        # an energy scale floored at 1 made every such domain warn
+        (eta,) = solve_eta(1.5, 3)
+        p = params_from_lambda(g, 1.5, eta, 3).potential
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            groundstate(p, n_points=500)
+
+    @pytest.mark.parametrize("g", [1e-3, 1.5, 2e4])
+    def test_wider_domain_leaves_energy_unchanged(self, g):
+        # the wall sits where psi has decayed by e^-40: moving it out by a
+        # quarter, at the same spacing, must not move the energy, in units
+        # of the domain's own kinetic scale 1 / r_max^2
+        (eta,) = solve_eta(1.5, 3)
+        p = params_from_lambda(g, 1.5, eta, 3).potential
+        auto = groundstate(p, n_points=2000)
+        r_max = auto.grid.r_max
+        wide = groundstate(p, r_max=1.25 * r_max, n_points=2500)
+        assert wide.grid.spacing == pytest.approx(auto.grid.spacing, rel=1e-12)
+        assert abs(wide.energy - auto.energy) * r_max**2 < 1e-8
+
+    def test_domain_grows_with_dimension(self, worked_potential):
+        # a larger N raises the energy bound, which moves the turning point out
+        radii = [
+            eigensolver._domain_radius(dataclasses.replace(worked_potential, n_dim=n)) for n in range(1, 10)
+        ]
+        assert all(a < b for a, b in zip(radii, radii[1:]))
 
     def test_unconfinable_raises(self):
         # g^2 underflows, so V samples as 0 everywhere on (0, 8 g^-1/4]
