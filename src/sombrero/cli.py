@@ -290,7 +290,9 @@ def _add_oracle_flags(sub):
     sub.add_argument(
         "--rmax", type=_POSITIVE, default=None, help="oracle domain (default: from the potential's length scale)"
     )
-    sub.add_argument("--grid", type=_GRID, default=2000, help="oracle grid points")
+    sub.add_argument(
+        "--grid", type=_GRID, default=None, help="oracle grid points (default: grid ladder to an accuracy target)"
+    )
 
 
 def _add_format_flag(sub):

@@ -6,12 +6,15 @@ singularity at r = 0 is never touched and the zero-flux inner face
 enforces psi'(0) = 0 for every dimension; the outer boundary is
 Dirichlet.  A similarity transform by r^((N-1)/2) makes the operator an
 exactly symmetric tridiagonal matrix, whose smallest eigenvalue comes
-from Sturm-sequence bisection.  Each energy is computed at spacings dr
-and dr/2 and Richardson-extrapolated, cancelling the leading O(dr^2)
-error.  The groundstate vector comes from inverse iteration on the fine
-grid.  Each solve uses one domain: an explicit r_max, or for the sextic
-family one derived from the potential's own length scale, so that a
-rescaled potential r -> s r gets a domain exactly s times as wide.
+from Sturm-sequence bisection.  The energy is computed on a ladder of
+grids, each with half the spacing of the one before, and each
+consecutive pair is Richardson-extrapolated, cancelling the leading
+O(dr^2) error; the ladder stops once the extrapolated energy meets an
+accuracy target.  The groundstate vector comes from inverse iteration
+on the finest grid.  Each solve uses one domain: an explicit r_max, or
+for the sextic family one derived from the potential's own length
+scale, so that a rescaled potential r -> s r gets a domain exactly s
+times as wide.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -27,7 +30,7 @@ from . import _kernels
 from .potential import PotentialParams, eval_potential
 from .solvers import ZeroModeSolution
 from .trial import m_zero_residual, satisfies_m_zero, satisfies_zero_energy, trial_split, zero_energy_residual
-from .wavefunction import TrialWavefunction, derivatives_s0, eval_psi, schrodinger_residual
+from .wavefunction import TrialWavefunction, derivatives_s0, eval_s0, schrodinger_residual
 
 MIN_GRID_POINTS = 16
 # decay exponent of psi, in WKB terms, between the outermost turning
@@ -36,6 +39,10 @@ _WKB_REACH = 40.0
 # half-width, in units of the energy scale, of the bracket around an
 # eigenvalue estimate that is probed before a bisection starts
 _HINT_WIDTH = 1e-6
+# grid ladder: cells per level (spacing halved each time, up to the cap)
+# and the error target of the extrapolated energy, in units of 1/r_max^2
+_LADDER = tuple(250 * 2**k for k in range(6))
+_LADDER_TARGET = 1e-8
 
 
 class GridExtentWarning(UserWarning):
@@ -80,7 +87,7 @@ class EigenResult:
     """Groundstate estimate from the oracle.
 
     energy is the Richardson-extrapolated eigenvalue; vector holds the
-    discrete wavefunction samples on the finer grid, sign-fixed positive
+    discrete wavefunction samples on the finest grid, sign-fixed positive
     and normalized so sum(vector^2 r^(N-1)) dr = 1.  richardson_pair
     keeps the two raw eigenvalues (coarse, fine) behind the
     extrapolation.
@@ -193,18 +200,29 @@ def groundstate(
     potential,
     extra_potential=None,
     r_max: float = None,
-    n_points: int = 2000,
+    n_points: int = None,
     n_dim: int = None,
 ) -> EigenResult:
     """Smallest eigenvalue and groundstate vector of V - extra_potential.
 
-    Solves at spacings dr and dr/2 (n_points and 2*n_points cells) on
-    one domain [0, r_max], Richardson-extrapolates the energy, and
-    reports the eigenvector on the finer grid.  With r_max=None a
-    PotentialParams potential gets the radius where its groundstate has
-    decayed by about e^-40, found from V and N alone (extra_potential is
-    not consulted); see _domain_radius.  A callable potential needs an
-    explicit r_max, as it needs an explicit n_dim.
+    Solves on one domain [0, r_max] over a ladder of grids, each with
+    half the spacing of the one before, and Richardson-extrapolates each
+    consecutive pair of raw eigenvalues, E_k = (4 e_k - e_(k-1)) / 3.
+    With n_points=None the ladder runs 250, 500, 1000, ... cells and
+    stops at the first level from the third on where the extrapolated
+    error estimate |E_k - E_(k-1)| / 15 is at most 1e-8 / r_max^2, or at
+    8000 cells, whatever the estimate there; the target scales like the
+    energy under r -> s r, so a rescaled potential stops at the same
+    level.  An explicit n_points solves on n_points and 2*n_points cells
+    only.  The energy, richardson_pair and vector all come from the last
+    pair of levels, the vector from the finest grid.  Raises
+    RuntimeError when two consecutive raw eigenvalues disagree by more
+    than a tenth of the energy scale (grid too coarse).
+
+    With r_max=None a PotentialParams potential gets the radius where
+    its groundstate has decayed by about e^-40, found from V and N alone
+    (extra_potential is not consulted); see _domain_radius.  A callable
+    potential needs an explicit r_max, as it needs an explicit n_dim.
 
     PotentialParams inputs must have g > 0 for confinement; a callable
     potential is trusted to confine on its own.
@@ -220,22 +238,31 @@ def groundstate(
 
     scale = _energy_scale(v_at, r_max)
     bisect_tol = 1e-12 * scale
+    target = _LADDER_TARGET / r_max**2
+    raw = []
     energies = []
     hints = ()
-    for n in (n_points, 2 * n_points):
+    for n in _LADDER if n_points is None else (n_points, 2 * n_points):
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
         # a hint only shortens the bisection (see _kernels.smallest_eigenvalue)
-        energy = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints))
-        energies.append(energy)
-        hints = (energy - _HINT_WIDTH * scale, energy + _HINT_WIDTH * scale)
-    e_coarse, e_fine = energies
-    if abs(e_coarse - e_fine) > 0.1 * scale:
-        raise RuntimeError(
-            f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
-            f"10% of scale {scale:.3g}: grid too coarse"
-        )
+        raw.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints)))
+        estimate = raw[-1]
+        if len(raw) > 1:
+            e_coarse, e_fine = raw[-2:]
+            if abs(e_coarse - e_fine) > 0.1 * scale:
+                raise RuntimeError(
+                    f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
+                    f"10% of scale {scale:.3g}: grid too coarse"
+                )
+            energies.append((4.0 * e_fine - e_coarse) / 3.0)
+            if len(energies) > 1 and abs(energies[-1] - energies[-2]) / 15.0 <= target:
+                break
+            # the raw error falls 4x per halving of dr, so the next level's
+            # eigenvalue sits near E + (e_coarse - e_fine) / 12
+            estimate = energies[-1] + (e_coarse - e_fine) / 12.0
+        hints = (estimate - _HINT_WIDTH * scale, estimate + _HINT_WIDTH * scale)
 
-    # op is the fine grid's operator, the last one the loop built
+    # op is the finest grid's operator, the last one the loop built
     vec, sweeps = _kernels.inverse_iteration(op.diag, op.off_diag, e_fine, 1e-12, 50)
     if sweeps < 0:
         raise RuntimeError("inverse iteration did not converge in 50 sweeps")
@@ -251,19 +278,23 @@ def groundstate(
     dr = grid.spacing
     psi = vec / r ** ((ndim - 1.0) / 2.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
-    return EigenResult(
-        energy=(4.0 * e_fine - e_coarse) / 3.0, vector=psi, grid=grid, richardson_pair=(e_coarse, e_fine)
-    )
+    return EigenResult(energy=energies[-1], vector=psi, grid=grid, richardson_pair=(e_coarse, e_fine))
 
 
 @dataclass(frozen=True)
 class VerifyTolerances:
-    """Pass thresholds and oracle grid settings for verify_solution."""
+    """Pass thresholds and oracle grid settings for verify_solution.
+
+    r_max=None takes the domain from the potential's length scale, and
+    n_points=None lets the oracle's grid ladder pick the grid from its
+    accuracy target (see groundstate); an explicit n_points solves on
+    n_points and 2*n_points cells.
+    """
 
     tol_energy: float = 1e-6
     tol_similarity: float = 1e-6
     r_max: float = None
-    n_points: int = 2000
+    n_points: int = None
 
 
 @dataclass(frozen=True)
@@ -292,9 +323,10 @@ def verify_solution(sol: ZeroModeSolution, tolerances: VerifyTolerances = None) 
 
     Compares the oracle groundstate energy of sol.potential with the
     closed-form e0 of its trial, and the oracle eigenvector with
-    psi = exp(-S0) under the r^(N-1) weight (cosine similarity).  The
-    constraint residuals and the max pointwise Riccati residual on a
-    log-spaced radius grid are included as diagnostics.
+    psi = exp(-S0), scaled to peak 1 on the grid, under the r^(N-1)
+    weight (cosine similarity).  The constraint residuals and the max
+    pointwise Riccati residual on a log-spaced radius grid are included
+    as diagnostics.
     """
     tol = tolerances if tolerances is not None else VerifyTolerances()
     p = sol.potential
@@ -305,7 +337,11 @@ def verify_solution(sol: ZeroModeSolution, tolerances: VerifyTolerances = None) 
     r = result.grid.points
     dr = result.grid.spacing
     weight = r ** (p.n_dim - 1.0)
-    psi = np.asarray(eval_psi(w, r))
+    # psi = exp(-S0) divided by its peak on the grid: unscaled, its square
+    # overflows once the peak exponent passes ~355 (the scale cancels below)
+    s0 = np.asarray(eval_s0(w, r))
+    with np.errstate(under="ignore"):
+        psi = np.exp(-(s0 - s0.min()))
     psi_norm = math.sqrt(float(np.sum(psi * psi * weight) * dr))
     similarity = float(np.sum(psi * result.vector * weight) * dr / psi_norm)
 

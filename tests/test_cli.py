@@ -253,6 +253,19 @@ class TestEtaMu:
         assert code == 0
         assert parse_table(out)["verification.verdict"] == "PASS"
 
+    @pytest.mark.parametrize("g", ["1000", "3000"])
+    def test_peaked_trial_keeps_a_finite_similarity(self, g):
+        # psi = exp(-S0) peaks at exp(c^2 / 4a), exp(416) at g = 1000, so
+        # psi^2 overflows unless psi is scaled before the overlap
+        proc = run_module(["eta-mu", "--g", g, "--N", "3", "--format", "json"])
+        doc = json.loads(proc.stdout, parse_constant=_reject_constant)["verification"]
+        assert "warning:" not in proc.stderr
+        assert doc["similarity"] > 1.0 - 1e-6
+        assert "eigenvector_similarity" not in doc["failures"]
+        assert proc.returncode == (0 if doc["verdict"] == "PASS" else 1)
+        if g == "1000":  # resolved within the grid ladder's 8000-cell cap
+            assert proc.returncode == 0
+
     def test_no_root_exits_1(self, capsys):
         code, _, err = run_cli(["eta-mu", "--g", "0.5", "--N", "3"], capsys)
         assert code == 1
@@ -412,6 +425,10 @@ class TestLibraryErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def run_module(args):

@@ -129,6 +129,12 @@ class TestHarmonicCalibration:
         res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0, n_points=2000)
         assert res.energy == pytest.approx(n_dim / 2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n_dim", range(1, 10))
+    def test_grid_ladder_meets_its_target(self, n_dim):
+        # target 1e-8 / r_max^2 = 6.9e-11 on the estimate of the error
+        res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0)
+        assert abs(res.energy - n_dim / 2.0) <= 1e-9
+
     def test_second_order_convergence_and_extrapolation_gain(self):
         res = groundstate(lambda r: 0.5 * r * r, n_dim=3, r_max=12.0, n_points=250)
         e_coarse, e_fine = res.richardson_pair
@@ -230,6 +236,12 @@ class TestDomainHandling:
             with pytest.raises(RuntimeError, match="grid too coarse"):
                 groundstate(lambda r: 1e6 * r * r, n_dim=3, r_max=8.0, n_points=16)
 
+    def test_unresolved_well_raises_on_the_grid_ladder(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridExtentWarning)
+            with pytest.raises(RuntimeError, match="grid too coarse"):
+                groundstate(lambda r: 1e8 * r * r, n_dim=3, r_max=8.0)
+
     def test_rejects_unconfined_params(self):
         p = PotentialParams(g=0.0, alpha=0.0, beta=1.0, bigA=1.0, n_dim=3)
         with pytest.raises(ValueError, match="g > 0"):
@@ -300,15 +312,16 @@ class TestScaleCovariance:
 
 
 class TestStages:
-    """One domain per solve: two discretizations and one eigenvector."""
+    """One domain per solve: one discretization per grid level and one eigenvector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"inverse_iteration": 0, "discretize": []}
+        calls = {"inverse_iteration": 0, "vector_size": None, "discretize": []}
         inverse_iteration, discretize_ = _kernels.inverse_iteration, eigensolver.discretize
 
         def counted_inverse_iteration(*args):
             calls["inverse_iteration"] += 1
+            calls["vector_size"] = len(args[0])
             return inverse_iteration(*args)
 
         def recorded_discretize(potential, extra_potential, grid, **kwargs):
@@ -327,7 +340,29 @@ class TestStages:
         r_max = res.grid.r_max
         assert r_max == pytest.approx(3.4622492 * (1.5 / g) ** 0.25, rel=1e-7)
         assert calls["inverse_iteration"] == 1
+        # an explicit grid skips the ladder: one pair, the vector on the finer
         assert calls["discretize"] == [(r_max, 2000), (r_max, 4000)]
+        assert calls["vector_size"] == 4000
+
+    @pytest.mark.parametrize("g", [1.5, 0.01])
+    def test_grid_ladder_on_auto_domain(self, g, calls):
+        # the target scales like the energy, so every member of the family
+        # stops at the level where the worked case does
+        (eta,) = solve_eta(1.5, 3)
+        res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential)
+        r_max = res.grid.r_max
+        assert calls["discretize"] == [(r_max, 250), (r_max, 500), (r_max, 1000)]
+        assert calls["inverse_iteration"] == 1
+        assert calls["vector_size"] == 1000
+        assert res.grid.n_points == 1000
+
+    def test_unmet_target_stops_at_the_cap(self, worked_potential, calls, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
+        res = groundstate(worked_potential, r_max=8.0)
+        assert [n for _, n in calls["discretize"]] == [250, 500, 1000, 2000, 4000, 8000]
+        assert calls["vector_size"] == 8000
+        assert res.grid.n_points == 8000
+        assert abs(res.energy) < 1e-8
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)
