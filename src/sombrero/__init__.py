@@ -15,7 +15,6 @@ from .eigensolver import (
     RadialGrid,
     TridiagonalOperator,
     VerificationReport,
-    VerifyTolerances,
     discretize,
     groundstate,
     verify_solution,
@@ -66,7 +65,6 @@ __all__ = [
     "RadialGrid",
     "TridiagonalOperator",
     "VerificationReport",
-    "VerifyTolerances",
     "discretize",
     "groundstate",
     "verify_solution",

@@ -1,38 +1,31 @@
 """Tridiagonal eigensolver kernels behind the radial oracle.
 
-Two sequential recurrences on a symmetric tridiagonal matrix with
-diagonal d and off-diagonal e: Sturm-sequence bisection for the smallest
-eigenvalue (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) and inverse
-iteration with a partially pivoted LU solve (LAPACK dgttrf/dgttrs) for
-its eigenvector.  Neither recurrence vectorizes, so the loops run over
-Python floats, which follow the same IEEE-754 double arithmetic as numpy
-but skip its per-element scalar boxing.  Everything numpy does exactly
-(elementwise arithmetic, max, first arg-extremum, running sums) is left
-to numpy.  Every operation that reaches a result happens in a fixed
-order, so the answers are reproducible bit for bit.
+Two kernels on a symmetric tridiagonal matrix with diagonal d and
+off-diagonal e: Sturm-sequence bisection for the smallest eigenvalue
+(Barth, Martin & Wilkinson, Numer. Math. 9, 1967) and one twisted
+factorization for its eigenvector (Dhillon 1997; Parlett & Dhillon
+2000).  Both rest on the LDL^T pivot recurrence of T - x*I, which does
+not vectorize, so it runs over Python floats, which follow the same
+IEEE-754 double arithmetic as numpy but skip its per-element scalar
+boxing.  Everything numpy does exactly (elementwise arithmetic, max,
+first arg-extremum, running sums and products) is left to numpy.  Every
+operation that reaches a result happens in a fixed order, so the answers
+are reproducible bit for bit.
 """
 
 import math
-from array import array
+from itertools import chain
 
 import numpy as np
 
 # Smallest normal double; pivot floors scale from this so the Sturm
 # recurrence never divides by an exact zero.
 _SAFMIN = 2.2250738585072014e-308
-_EPS = 2.220446049250313e-16
 
 
 def _max_skipping_nan(a, initial=0.0) -> float:
     """max(initial, *a) ignoring NaNs, like a running `if x > best` loop."""
     return float(np.fmax.reduce(a, initial=initial))
-
-
-def _buffer(a) -> array:
-    """An array('d') copy of a float64 ndarray, with no bytes copy between."""
-    buf = array("d")
-    buf.frombytes(np.ascontiguousarray(a, dtype=float).data.cast("B"))
-    return buf
 
 
 def _gershgorin_end(ends, argbest) -> float:
@@ -134,99 +127,52 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     return 0.5 * (lo + hi)
 
 
-def inverse_iteration(d, e, sigma, rel_tol, max_iter):
-    """Eigenvector of the symmetric tridiagonal (d, e) nearest sigma.
+def _pivots(shifted, e2, pivmin) -> np.ndarray:
+    """Every LDL^T pivot of a shifted tridiagonal, from the top down.
 
-    Factors (T - sigma*I) once with partial pivoting (LU with one extra
-    superdiagonal, dgttrf-style), then repeatedly solves from a constant
-    positive start vector, normalizing each sweep.  Returns the unit
-    vector and the number of sweeps used, or -1 if the direction did not
-    settle to rel_tol (max-norm of the change of the sign-aligned unit
-    vector) within max_iter sweeps.  The factors and the solve run in
-    place in array('d') buffers, which hold no float objects; the
-    normalization's sums of products are running (sequential) sums.
+    Walks q_0 = shifted_0, q_i = shifted_i - e2_(i-1) / q_(i-1), the
+    recurrence _pivot_below walks, but to the end, with each |q_i| <
+    pivmin floored to -pivmin so that no pivot is an exact zero.
     """
-    n = d.shape[0]
+    out = np.empty(shifted.shape[0])
+    buf = memoryview(out)
+    # q_0 = shifted_0 - 0 / 1 starts the recurrence with no special case
+    q = 1.0
+    for i, (si, e2i) in enumerate(zip(memoryview(shifted), chain((0.0,), memoryview(e2)))):
+        q = si - e2i / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        buf[i] = q
+    return out
+
+
+def eigenvector(d, e, sigma) -> np.ndarray:
+    """Unit eigenvector of the symmetric tridiagonal (d, e) for the eigenvalue at sigma.
+
+    One twisted factorization of T - sigma*I (Dhillon 1997; Parlett &
+    Dhillon, Linear Algebra Appl. 309, 2000): the top-down pivots D+ and
+    the bottom-up pivots D- meet at the twist index k that minimizes
+    |gamma_k| = |D+_k + D-_k - (d_k - sigma)|; 1 / gamma_k is the k-th
+    diagonal entry of (T - sigma*I)^-1, largest where the eigenvector
+    is.  With x_k = 1 the other entries follow outward as running
+    products, x_i = -(e_i / D+_i) x_(i+1) for i < k and
+    x_i = -(e_(i-1) / D-_i) x_(i-1) for i > k, which solve
+    (T - sigma*I) x = gamma_k e_k exactly.  When every e_i < 0 and the
+    pivots used are positive, no entry of x is negative.  The result
+    is scaled by its largest entry and then to unit length with a
+    running (sequential) sum of squares.  Entries that overflow come
+    back infinite or NaN, which the caller checks for.
+    """
     shifted = d - sigma
-    # exact zero pivots are replaced by an eps-sized perturbation scaled
-    # to the shifted matrix, so the solve stays finite
-    tiny = _EPS * max(_max_skipping_nan(np.abs(shifted)), _max_skipping_nan(np.abs(e)))
-    if tiny == 0.0:
-        tiny = _SAFMIN
-
-    dd = _buffer(shifted)
-    del shifted
-    dl = _buffer(e)
-    du = array("d", dl)
-    du2 = array("d", bytes(8 * max(n - 2, 0)))
-    swapped = bytearray(max(n - 1, 0))
-    for i in range(n - 1):
-        piv = dd[i]
-        sub = dl[i]
-        if abs(piv) >= abs(sub):
-            # no row swap; a hard zero pivot only occurs when sigma is an
-            # exact eigenvalue of a leading block, so floor it
-            if piv == 0.0:
-                piv = dd[i] = tiny
-            fact = sub / piv
-            dl[i] = fact
-            dd[i + 1] -= fact * du[i]
-        else:
-            swapped[i] = 1
-            fact = piv / sub
-            dd[i] = sub
-            dl[i] = fact
-            below = dd[i + 1]
-            dd[i + 1] = du[i] - fact * below
-            du[i] = below
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-    if dd[n - 1] == 0.0:
-        dd[n - 1] = tiny
-
-    v = np.full(n, 1.0 / math.sqrt(n))
-    x = array("d", bytes(8 * n))
-    x_np = np.frombuffer(x)  # numpy view of the same buffer
-    work = np.empty(n)  # one scratch vector for the normalization
-    for sweep in range(max_iter):
-        x_np[:] = v
-        # forward substitution with recorded swaps; xi carries x[i]
-        xi = x[0]
-        for i in range(n - 1):
-            below = x[i + 1]
-            if swapped[i]:
-                x[i] = below
-                xi = xi - dl[i] * below
-            else:
-                xi = below - dl[i] * xi
-            x[i + 1] = xi
-        # back substitution (upper triangle has two superdiagonals);
-        # a and b carry x[i + 2] and x[i + 1]
-        a = x[n - 1] / dd[n - 1]
-        x[n - 1] = a
-        if n > 1:
-            b = (x[n - 2] - du[n - 2] * a) / dd[n - 2]
-            x[n - 2] = b
-            for i in range(n - 3, -1, -1):
-                c = (x[i] - du[i] * b - du2[i] * a) / dd[i]
-                x[i] = c
-                a = b
-                b = c
-
-        # two-stage normalization: pre-scaling by the largest entry keeps
-        # the sum of squares from overflowing after a near-singular solve
-        amax = _max_skipping_nan(np.abs(x_np, out=work))
-        if amax == 0.0 or not math.isfinite(amax):
-            return v, -1
-        x_np /= amax
-        np.multiply(x_np, x_np, out=work)
-        x_np /= math.sqrt(float(np.add.accumulate(work, out=work)[-1]))
-        np.multiply(x_np, v, out=work)
-        if np.add.accumulate(work, out=work)[-1] < 0.0:
-            np.negative(x_np, out=x_np)
-        delta = _max_skipping_nan(np.abs(np.subtract(x_np, v, out=work), out=work))
-        v = x_np.copy()
-        if delta < rel_tol:
-            return v, sweep + 1
-    return v, -1
+    e2 = e * e
+    pivmin = _SAFMIN * _max_skipping_nan(e2, initial=1.0)
+    down = _pivots(shifted, e2, pivmin)
+    up = _pivots(shifted[::-1], e2[::-1], pivmin)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = int(np.argmin(np.abs(down + up - shifted)))
+        x = np.ones(d.shape[0])
+        x[:k] = np.cumprod((-e[:k] / down[:k])[::-1])[::-1]
+        x[k + 1 :] = np.cumprod(-e[k:] / up[k + 1 :])
+        x /= _max_skipping_nan(np.abs(x))
+        x /= math.sqrt(float(np.add.accumulate(x * x)[-1]))
+    return x

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .eigensolver import VerifyTolerances, verify_solution
+from .eigensolver import verify_solution
 from .potential import PotentialParams, eval_potential
 from .solvers import (
     NoRootError,
@@ -230,8 +230,8 @@ def cmd_jackiw(args) -> int:
 
 def _oracle_report(sol: ZeroModeSolution, args):
     try:
-        return verify_solution(sol, VerifyTolerances(r_max=args.rmax, n_points=args.grid))
-    except RuntimeError as exc:  # unconfined potential, grid too coarse, no convergence
+        return verify_solution(sol, r_max=args.rmax, n_points=args.grid)
+    except RuntimeError as exc:  # unconfined potential, grid too coarse, spoiled vector
         raise OracleFailure(str(exc)) from exc
 
 

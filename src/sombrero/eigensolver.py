@@ -10,11 +10,11 @@ from Sturm-sequence bisection.  The energy is computed on a ladder of
 grids, each with half the spacing of the one before, and each
 consecutive pair is Richardson-extrapolated, cancelling the leading
 O(dr^2) error; the ladder stops once the extrapolated energy meets an
-accuracy target.  The groundstate vector comes from inverse iteration
-on the finest grid.  Each solve uses one domain: an explicit r_max, or
-for the sextic family one derived from the potential's own length
-scale, so that a rescaled potential r -> s r gets a domain exactly s
-times as wide.
+accuracy target.  The groundstate vector comes from one twisted
+factorization on the finest grid.  Each solve uses one domain: an
+explicit r_max, or for the sextic family one derived from the
+potential's own length scale, so that a rescaled potential r -> s r
+gets a domain exactly s times as wide.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -43,6 +43,10 @@ _HINT_WIDTH = 1e-6
 # and the error target of the extrapolated energy, in units of 1/r_max^2
 _LADDER = tuple(250 * 2**k for k in range(6))
 _LADDER_TARGET = 1e-8
+# verify_solution passes a claim when |E - e0| < TOL_ENERGY and the
+# cosine similarity of the vectors exceeds 1 - TOL_SIMILARITY
+TOL_ENERGY = 1e-6
+TOL_SIMILARITY = 1e-6
 
 
 class GridExtentWarning(UserWarning):
@@ -87,10 +91,11 @@ class EigenResult:
     """Groundstate estimate from the oracle.
 
     energy is the Richardson-extrapolated eigenvalue; vector holds the
-    discrete wavefunction samples on the finest grid, sign-fixed positive
-    and normalized so sum(vector^2 r^(N-1)) dr = 1.  richardson_pair
-    keeps the two raw eigenvalues (coarse, fine) behind the
-    extrapolation.
+    discrete wavefunction samples on the finest grid, from one twisted
+    factorization at the fine eigenvalue, sign-checked (no entry below
+    -1e-8 times the peak) and normalized so sum(vector^2 r^(N-1)) dr = 1.
+    richardson_pair keeps the two raw eigenvalues (coarse, fine) behind
+    the extrapolation.
     """
 
     energy: float
@@ -215,9 +220,11 @@ def groundstate(
     energy under r -> s r, so a rescaled potential stops at the same
     level.  An explicit n_points solves on n_points and 2*n_points cells
     only.  The energy, richardson_pair and vector all come from the last
-    pair of levels, the vector from the finest grid.  Raises
+    pair of levels; the vector is one twisted factorization
+    (_kernels.eigenvector) at the finest grid's eigenvalue.  Raises
     RuntimeError when two consecutive raw eigenvalues disagree by more
-    than a tenth of the energy scale (grid too coarse).
+    than a tenth of the energy scale (grid too coarse), and when the
+    vector is not finite or changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -263,15 +270,11 @@ def groundstate(
         hints = (estimate - _HINT_WIDTH * scale, estimate + _HINT_WIDTH * scale)
 
     # op is the finest grid's operator, the last one the loop built
-    vec, sweeps = _kernels.inverse_iteration(op.diag, op.off_diag, e_fine, 1e-12, 50)
-    if sweeps < 0:
-        raise RuntimeError("inverse iteration did not converge in 50 sweeps")
-    if vec.sum() < 0.0:
-        vec = -vec
+    vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)
+    if not np.isfinite(vec).all():
+        raise RuntimeError("groundstate vector is not finite")
     if vec.min() < -1e-8 * vec.max():
         raise RuntimeError("groundstate vector changed sign; eigenpair suspect")
-    # entries below the solver noise floor can carry stray signs; fold them up
-    vec = np.abs(vec)
 
     grid = op.grid
     r = grid.points
@@ -279,22 +282,6 @@ def groundstate(
     psi = vec / r ** ((ndim - 1.0) / 2.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
     return EigenResult(energy=energies[-1], vector=psi, grid=grid, richardson_pair=(e_coarse, e_fine))
-
-
-@dataclass(frozen=True)
-class VerifyTolerances:
-    """Pass thresholds and oracle grid settings for verify_solution.
-
-    r_max=None takes the domain from the potential's length scale, and
-    n_points=None lets the oracle's grid ladder pick the grid from its
-    accuracy target (see groundstate); an explicit n_points solves on
-    n_points and 2*n_points cells.
-    """
-
-    tol_energy: float = 1e-6
-    tol_similarity: float = 1e-6
-    r_max: float = None
-    n_points: int = None
 
 
 @dataclass(frozen=True)
@@ -318,7 +305,7 @@ class VerificationReport:
     failures: tuple[str, ...]
 
 
-def verify_solution(sol: ZeroModeSolution, tolerances: VerifyTolerances = None) -> VerificationReport:
+def verify_solution(sol: ZeroModeSolution, *, r_max: float = None, n_points: int = None) -> VerificationReport:
     """Check a claimed zero-energy solution against the numerical oracle.
 
     Compares the oracle groundstate energy of sol.potential with the
@@ -326,12 +313,14 @@ def verify_solution(sol: ZeroModeSolution, tolerances: VerifyTolerances = None) 
     psi = exp(-S0), scaled to peak 1 on the grid, under the r^(N-1)
     weight (cosine similarity).  The constraint residuals and the max
     pointwise Riccati residual on a log-spaced radius grid are included
-    as diagnostics.
+    as diagnostics.  r_max and n_points go to groundstate: None takes
+    the domain from the potential's length scale and lets the grid
+    ladder pick the grid from its accuracy target; an explicit n_points
+    solves on n_points and 2*n_points cells.
     """
-    tol = tolerances if tolerances is not None else VerifyTolerances()
     p = sol.potential
     split = trial_split(p, sol.trial)
-    result = groundstate(p, r_max=tol.r_max, n_points=tol.n_points)
+    result = groundstate(p, r_max=r_max, n_points=n_points)
 
     w = TrialWavefunction(trial=sol.trial, potential=p)
     r = result.grid.points
@@ -351,9 +340,9 @@ def verify_solution(sol: ZeroModeSolution, tolerances: VerifyTolerances = None) 
 
     failures = []
     energy_error = abs(result.energy - split.e0)
-    if not (energy_error < tol.tol_energy):
+    if not (energy_error < TOL_ENERGY):
         failures.append("oracle_energy_vs_e0")
-    if not (similarity > 1.0 - tol.tol_similarity):
+    if not (similarity > 1.0 - TOL_SIMILARITY):
         failures.append("eigenvector_similarity")
     if not satisfies_m_zero(p):
         failures.append("m_zero_residual")

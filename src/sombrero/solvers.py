@@ -133,6 +133,22 @@ def _polish_secant(f, a, b, fa, fb, target, lo, hi):
     return best_x
 
 
+def _cubic_roots_in_unit_interval(coefficients):
+    """Roots strictly inside (0, 1) of the cubic with coefficients (c3, c2, c1, c0).
+
+    One find_bracketed_roots call on [0, 1], with the cubic evaluated by
+    Horner's rule and |f| judged against its largest coefficient.
+    """
+    c3, c2, c1, c0 = coefficients
+
+    def cubic(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    coef_scale = max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
+    roots = find_bracketed_roots(cubic, 0.0, 1.0, subdivisions=64, scale=coef_scale)
+    return [r for r in roots if 0.0 < r < 1.0]
+
+
 def eta_cubic_coefficients(lambda_: float, n_dim: int):
     """Cubic in eta whose roots make both m and E0 vanish for given lambda.
 
@@ -153,14 +169,7 @@ def solve_eta(lambda_: float, n_dim: int):
         raise ValueError(f"lambda must be finite, got {lambda_}")
     if n_dim < 1:
         raise ValueError(f"n_dim must be >= 1, got {n_dim}")
-    c3, c2, c1, c0 = eta_cubic_coefficients(lambda_, n_dim)
-
-    def cubic(x):
-        return ((c3 * x + c2) * x + c1) * x + c0
-
-    coef_scale = max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
-    roots = find_bracketed_roots(cubic, 0.0, 1.0, subdivisions=64, scale=coef_scale)
-    return [r for r in roots if 0.0 < r < 1.0]
+    return _cubic_roots_in_unit_interval(eta_cubic_coefficients(lambda_, n_dim))
 
 
 def params_from_lambda(g: float, lambda_: float, eta: float, n_dim: int) -> ZeroModeSolution:
@@ -243,23 +252,15 @@ def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
     Solves the eta cubic, takes its unique root in (0, 1), recovers mu
     from the exact-solvability constraint (mu = 1 - (1+eta)^2 + 3/g) and
     the potential through the Jackiw form.  The quadratic trial
-    coefficient follows c = (1 - eta) g r0^2 / 2.
+    coefficient follows c = (1 - eta) g r0^2 / 2.  Raises NoRootError
+    when the cubic has no root or several in (0, 1), or when the
+    potential rebuilt from the root misses either constraint residual.
     """
     if not (g > 0):
         raise ValueError(f"need g > 0, got {g}")
     if n_dim < 1:
         raise ValueError(f"n_dim must be >= 1, got {n_dim}")
-    c3, c2, c1, c0 = eta_mu_cubic_coefficients(g, n_dim)
-
-    def cubic(x):
-        return ((c3 * x + c2) * x + c1) * x + c0
-
-    coef_scale = max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
-    roots = [
-        r
-        for r in find_bracketed_roots(cubic, 0.0, 1.0, subdivisions=64, scale=coef_scale)
-        if 0.0 < r < 1.0
-    ]
+    roots = _cubic_roots_in_unit_interval(eta_mu_cubic_coefficients(g, n_dim))
     if not roots:
         raise NoRootError(
             f"no shift ratio eta in (0, 1) solves the constraints for g={g}, N={n_dim}"
@@ -273,7 +274,7 @@ def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
     form = JackiwForm(r0_sq=math.sqrt((n_dim + 2.0) / 3.0), mu=mu, eta=eta)
     p = from_jackiw_form(form, g=g, n_dim=n_dim)
     if not (satisfies_m_zero(p) and satisfies_zero_energy(p)):
-        raise RuntimeError(
-            f"constraint residuals did not vanish for g={g}, N={n_dim} ({_fmt_res(p)})"
+        raise NoRootError(
+            f"the root eta={eta!r} found for g={g}, N={n_dim} misses the constraints ({_fmt_res(p)})"
         )
     return ZeroModeSolution(potential=p, trial=derive_trial(p), jackiw_form=form)

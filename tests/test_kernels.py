@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sombrero import _kernels
+from sombrero import RadialGrid, _kernels, discretize
 
 
 def random_tridiagonal(rng, n):
@@ -81,88 +81,6 @@ def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
     return 0.5 * (lo + hi)
 
 
-def loop_inverse_iteration(d, e, sigma, rel_tol, max_iter):
-    """Reference: dgttrf-style factorization and sweeps, one element at a time."""
-    n = d.shape[0]
-    dd = np.array([d[i] - sigma for i in range(n)])
-    dl = e.copy()
-    du = e.copy()
-    du2 = np.zeros(max(n - 2, 0))
-    swapped = np.zeros(max(n - 1, 0), dtype=bool)
-    scale_t = 0.0
-    for i in range(n):
-        if abs(dd[i]) > scale_t:
-            scale_t = abs(dd[i])
-    for i in range(n - 1):
-        if abs(e[i]) > scale_t:
-            scale_t = abs(e[i])
-    tiny = 2.220446049250313e-16 * scale_t
-    if tiny == 0.0:
-        tiny = 2.2250738585072014e-308
-    for i in range(n - 1):
-        if abs(dd[i]) >= abs(dl[i]):
-            if dd[i] == 0.0:
-                dd[i] = tiny
-            fact = dl[i] / dd[i]
-            dl[i] = fact
-            dd[i + 1] -= fact * du[i]
-        else:
-            swapped[i] = True
-            fact = dd[i] / dl[i]
-            dd[i] = dl[i]
-            dl[i] = fact
-            tmp = du[i]
-            du[i] = dd[i + 1]
-            dd[i + 1] = tmp - fact * dd[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-    if dd[n - 1] == 0.0:
-        dd[n - 1] = tiny
-    v = np.full(n, 1.0 / math.sqrt(n))
-    x = np.empty(n)
-    for sweep in range(max_iter):
-        x[:] = v
-        for i in range(n - 1):
-            if swapped[i]:
-                tmp = x[i]
-                x[i] = x[i + 1]
-                x[i + 1] = tmp - dl[i] * x[i]
-            else:
-                x[i + 1] -= dl[i] * x[i]
-        x[n - 1] /= dd[n - 1]
-        if n > 1:
-            x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / dd[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dd[i]
-        amax = 0.0
-        for i in range(n):
-            if abs(x[i]) > amax:
-                amax = abs(x[i])
-        if amax == 0.0 or not math.isfinite(amax):
-            return v, -1
-        nrm = 0.0
-        for i in range(n):
-            x[i] /= amax
-            nrm += x[i] * x[i]
-        nrm = math.sqrt(nrm)
-        dot = 0.0
-        for i in range(n):
-            x[i] /= nrm
-            dot += x[i] * v[i]
-        if dot < 0.0:
-            x = -x
-        delta = 0.0
-        for i in range(n):
-            diff = abs(x[i] - v[i])
-            if diff > delta:
-                delta = diff
-            v[i] = x[i]
-        if delta < rel_tol:
-            return v, sweep + 1
-    return v, -1
-
-
 def hint_sets(d, e, ref, visited, rng):
     """Hint lists for smallest_eigenvalue that must not change its result:
     at the eigenvalue and one ulp either side, far outside the Gershgorin
@@ -190,7 +108,7 @@ def hint_sets(d, e, ref, visited, rng):
     return sets
 
 
-def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50, hints_seed=0):
+def assert_same_bits(d, e, tol, hints_seed=0):
     with np.errstate(all="ignore"):
         got = _kernels.smallest_eigenvalue(d, e, tol)
         visited = []
@@ -199,18 +117,12 @@ def assert_same_bits(d, e, tol, sigmas=(None,), rel_tol=1e-12, max_iter=50, hint
         for hints in hint_sets(d, e, float(ref), visited, np.random.default_rng(hints_seed)):
             hinted = _kernels.smallest_eigenvalue(d, e, tol, hints)
             assert np.float64(hinted).tobytes() == np.float64(ref).tobytes(), hints
-        for sigma in sigmas:
-            sigma = ref if sigma is None else sigma
-            v, sweeps = _kernels.inverse_iteration(d, e, sigma, rel_tol, max_iter)
-            v_ref, sweeps_ref = loop_inverse_iteration(d, e, sigma, rel_tol, max_iter)
-            assert sweeps == sweeps_ref
-            assert v.tobytes() == v_ref.tobytes()
 
 
 class TestMatchesLoopReference:
-    """The kernels perform the loop version's IEEE-754 operations in the
-    same order, so every result is identical to the last bit, whatever
-    hints the bisection is given."""
+    """The bisection performs the loop version's IEEE-754 operations in
+    the same order, so every result is identical to the last bit, whatever
+    hints it is given."""
 
     def test_random_matrices(self):
         rng = np.random.default_rng(71)
@@ -220,24 +132,18 @@ class TestMatchesLoopReference:
             e = rng.uniform(-3.0, 3.0, n - 1) * 10 ** rng.uniform(-3, 3)
             if k % 7 == 0:
                 e[rng.integers(0, max(n - 1, 1)):] = 0.0  # split into blocks
-            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), sigmas=(None, rng.uniform(-5, 5)), hints_seed=k)
-
-    def test_unconverged_sweeps(self):
-        rng = np.random.default_rng(73)
-        for max_iter in range(4):
-            d, e = random_tridiagonal(rng, 40)
-            assert_same_bits(d, e, 1e-13, rel_tol=1e-30, max_iter=max_iter)
+            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), hints_seed=k)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 300])
     def test_degenerate_constant_matrix(self, n):
         d, e = degenerate_constant_matrix(n)
-        assert_same_bits(d, e, 1e-12, sigmas=(None, 0.0, d[0], d[1]))
+        assert_same_bits(d, e, 1e-12)
 
     def test_zero_pivots_and_signed_zeros(self):
-        assert_same_bits(np.ones(3), np.zeros(2), 1e-12, sigmas=(1.0,))
-        assert_same_bits(np.zeros(5), np.zeros(4), 1e-12, sigmas=(0.0,))
-        assert_same_bits(np.array([-0.0, 0.0, -0.0]), np.array([-0.0, 0.0]), 1e-12, sigmas=(0.0, -0.0))
-        assert_same_bits(np.array([4.2]), np.zeros(0), 1e-13, sigmas=(4.2, 1.0))
+        assert_same_bits(np.ones(3), np.zeros(2), 1e-12)
+        assert_same_bits(np.zeros(5), np.zeros(4), 1e-12)
+        assert_same_bits(np.array([-0.0, 0.0, -0.0]), np.array([-0.0, 0.0]), 1e-12)
+        assert_same_bits(np.array([4.2]), np.zeros(0), 1e-13)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries(self, bad):
@@ -247,10 +153,10 @@ class TestMatchesLoopReference:
             e = rng.uniform(-1.0, 1.0, 9)
             d_bad = d.copy()
             d_bad[pos] = bad
-            assert_same_bits(d_bad, e, 1e-12, sigmas=(1.0,))
+            assert_same_bits(d_bad, e, 1e-12)
             e_bad = e.copy()
             e_bad[min(pos, 8)] = bad
-            assert_same_bits(d, e_bad, 1e-12, sigmas=(1.0,))
+            assert_same_bits(d, e_bad, 1e-12)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -315,32 +221,22 @@ class TestSmallestEigenvalue:
         assert _kernels.smallest_eigenvalue(d, e, 1e-12) == pytest.approx(reference, abs=1e-9)
 
 
-class TestInverseIteration:
-    def test_against_scipy_eigenvector(self):
+class TestEigenvector:
+    @staticmethod
+    def assert_matches(v, reference, tol):
+        """v is a unit vector along reference: 1 - |cos| <= tol."""
+        assert v.shape == reference.shape
+        assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
+        assert 1.0 - abs(math.fsum(v * reference)) <= tol
+
+    def test_against_scipy(self):
         rng = np.random.default_rng(47)
-        for _ in range(15):
-            n = int(rng.integers(8, 150))
-            d, e = random_tridiagonal(rng, n)
-            vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        for _ in range(40):
+            n = int(rng.integers(3, 400))
+            d, e = random_tridiagonal(rng, n)  # off-diagonals of both signs
+            _, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            v, sweeps = _kernels.inverse_iteration(d, e, sigma, 1e-12, 50)
-            assert sweeps > 0
-            assert abs(float(v @ vecs[:, 0])) == pytest.approx(1.0, abs=1e-10)
-            assert float(v @ v) == pytest.approx(1.0, rel=1e-12)
-
-    def test_unconverged_flag(self):
-        d = np.array([2.0, 3.0, 4.0, 5.0])
-        e = np.array([1.0, 1.0, 1.0])
-        _, sweeps = _kernels.inverse_iteration(d, e, 1.0, 1e-30, 0)
-        assert sweeps == -1
-
-    def test_exact_singular_shift_survives(self):
-        # sigma exactly an eigenvalue of the 2x2 blocks: pivots hit zero
-        d = np.array([1.0, 1.0, 1.0])
-        e = np.array([0.0, 0.0])
-        v, sweeps = _kernels.inverse_iteration(d, e, 1.0, 1e-12, 50)
-        assert sweeps > 0
-        assert np.all(np.isfinite(v))
+            self.assert_matches(_kernels.eigenvector(d, e, sigma), vecs[:, 0], 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_matrices_against_dense_eigh(self, n):
@@ -349,15 +245,54 @@ class TestInverseIteration:
             d, e = random_tridiagonal(rng, n)
             _, reference = dense_groundstate(d, e)
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            v, sweeps = _kernels.inverse_iteration(d, e, sigma, 1e-12, 50)
-            assert sweeps > 0
-            assert v.shape == (n,)
-            assert abs(float(v @ reference)) == pytest.approx(1.0, abs=1e-10)
+            self.assert_matches(_kernels.eigenvector(d, e, sigma), reference, 1e-12)
 
-    def test_degenerate_constant_matrix_vector(self):
-        d, e = degenerate_constant_matrix(500)
-        vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    @pytest.mark.parametrize("n", [2, 3, 17, 500])
+    def test_degenerate_constant_matrix(self, n):
+        d, e = degenerate_constant_matrix(n)
+        _, reference = dense_groundstate(d, e)
         sigma = _kernels.smallest_eigenvalue(d, e, 1e-12)
-        v, sweeps = _kernels.inverse_iteration(d, e, sigma, 1e-12, 50)
-        assert sweeps > 0
-        assert abs(float(v @ vecs[:, 0])) == pytest.approx(1.0, abs=1e-8)
+        v = _kernels.eigenvector(d, e, sigma)
+        self.assert_matches(v, reference, 1e-12)
+        assert v.min() > 0.0
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+    def test_oracle_matrices(self, n, worked_potential):
+        # the worked case's flux-form operator: negative off-diagonals, so
+        # the groundstate vector is nonnegative entry by entry (its tail
+        # underflows to zero where the true values fall below 1e-308)
+        op = discretize(worked_potential, grid=RadialGrid.make(8.0, n))
+        sigma = _kernels.smallest_eigenvalue(op.diag, op.off_diag, 1e-12)
+        v = _kernels.eigenvector(op.diag, op.off_diag, sigma)
+        _, vecs = sla.eigh_tridiagonal(op.diag, op.off_diag, select="i", select_range=(0, 0))
+        reference = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+        self.assert_matches(v, reference, 1e-13)
+        assert np.max(np.abs(v - reference)) < 1e-10
+        assert v.min() >= 0.0
+
+    def test_exact_singular_shift_survives(self):
+        # sigma exactly an eigenvalue of 1x1 blocks: every pivot is zero
+        v = _kernels.eigenvector(np.ones(3), np.zeros(2), 1.0)
+        assert np.all(np.isfinite(v))
+        assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_residual_and_eigh_agreement(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, -1.0]))
+        d = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d"))
+        e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
+        norm = max(1.0, float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+        sigma = _kernels.smallest_eigenvalue(d, e, 1e-13 * norm)
+        v = _kernels.eigenvector(d, e, sigma)
+        assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
+        # the twisted factorization solves (T - sigma) v = gamma_k e_k, a
+        # residual no larger than the eigenvalue's own error allows
+        tv = d * v - sigma * v
+        tv[1:] += e * v[:-1]
+        tv[:-1] += e * v[1:]
+        assert np.max(np.abs(tv)) <= 1e-10 * norm
+        vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        if n == 1 or vals[1] - vals[0] > 1e-3 * norm:
+            self.assert_matches(v, vecs[:, 0], 1e-9)

@@ -19,6 +19,7 @@ from sombrero import (
     solve_eta_mu,
     zero_energy_residual,
 )
+from sombrero import solvers
 
 SQRT3 = math.sqrt(3.0)
 
@@ -251,6 +252,25 @@ class TestSolveEtaMu:
         # the cubic is negative on all of (0, 1) for g < 3/4
         with pytest.raises(NoRootError, match="eta"):
             solve_eta_mu(0.5, 3)
+
+    @pytest.mark.parametrize("solve, args", [(solve_eta, (1.5, 3)), (solve_eta_mu, (1.0, 3))])
+    def test_one_root_finder_call_per_solve(self, solve, args, monkeypatch):
+        calls = []
+        find = solvers.find_bracketed_roots
+
+        def counted(*a, **kw):
+            calls.append(kw)
+            return find(*a, **kw)
+
+        monkeypatch.setattr(solvers, "find_bracketed_roots", counted)
+        solve(*args)
+        assert len(calls) == 1
+        assert calls[0]["subdivisions"] == 64
+
+    @pytest.mark.parametrize("g, n_dim", [(1e4, 3), (3e3, 1), (1e4, 9)])
+    def test_root_missing_the_constraints_is_no_root(self, g, n_dim):
+        with pytest.raises(NoRootError, match="misses the constraints"):
+            solve_eta_mu(g, n_dim)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="g"):
