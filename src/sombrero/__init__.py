@@ -32,7 +32,6 @@ from .solvers import (
     ZeroModeSolution,
     eta_cubic_coefficients,
     eta_mu_cubic_coefficients,
-    find_bracketed_roots,
     jackiw_solutions,
     params_from_lambda,
     solve_eta,
@@ -78,7 +77,6 @@ __all__ = [
     "ZeroModeSolution",
     "eta_cubic_coefficients",
     "eta_mu_cubic_coefficients",
-    "find_bracketed_roots",
     "jackiw_solutions",
     "params_from_lambda",
     "solve_eta",

@@ -13,21 +13,22 @@ Three routes produce exactly solvable parameter sets:
     three constraints leaves one cubic in eta with a single root in
     (0, 1) for the couplings of interest.
 
-All three lean on the same deterministic scan/bisect/secant root finder.
+solve_eta and solve_eta_mu share one cubic root finder that bisects each
+monotone piece of [0, 1] to the last float; jackiw_solutions needs none.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .potential import JackiwForm, LambdaForm, PotentialParams, from_jackiw_form
 from .trial import (
     TrialParams,
     derive_trial,
+    m_zero_residual,
     satisfies_m_zero,
     satisfies_zero_energy,
     trial_split,
+    zero_energy_residual,
 )
 
 
@@ -59,94 +60,67 @@ class JackiwBranch:
     e0: float
 
 
-def find_bracketed_roots(f, lo, hi, subdivisions=64, tol=1e-12, scale=None):
-    """All roots of f on [lo, hi] found by panel scan + bisection + secant.
+def _quadratic_roots(a, b, c):
+    """Real roots of a x^2 + b x + c, ascending, a double root once.
 
-    The interval is split into `subdivisions` equal panels; every sign
-    change is bisected down to a bracket narrower than tol and then
-    polished with derivative-free secant steps until |f| stops improving
-    (target 1e-13 * scale, scale defaulting to max(1, |f(lo)|, |f(hi)|)).
-    Exact zeros at panel boundaries are kept once.  Output is sorted,
-    deduplicated, and a pure function of the inputs.
+    Dividing by the largest coefficient keeps b^2 - 4ac finite, and
+    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 gives the roots q / a and
+    c / q without cancellation.  With a = 0 the linear root is returned.
     """
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if subdivisions < 2:
-        raise ValueError(f"need at least 2 subdivisions, got {subdivisions}")
-
-    xs = np.linspace(lo, hi, subdivisions + 1)
-    fs = np.array([float(f(x)) for x in xs])
-    if not np.isfinite(fs).all():
-        raise ValueError("f must be finite on [lo, hi]")
-    if scale is None:
-        scale = max(1.0, abs(fs[0]), abs(fs[-1]))
-    target = 1e-13 * scale
-
-    roots = []
-    for i in range(subdivisions + 1):
-        if fs[i] == 0.0:
-            roots.append(float(xs[i]))
-    for i in range(subdivisions):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0 or fb == 0.0 or fa * fb > 0.0:
-            continue
-        a, b = float(xs[i]), float(xs[i + 1])
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            fm = float(f(mid))
-            if fm == 0.0:
-                a = b = mid
-                fa = fb = 0.0
-                break
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(_polish_secant(f, a, b, fa, fb, target, lo, hi))
-
-    roots.sort()
-    merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > max(tol, 1e-14 * max(abs(lo), abs(hi))):
-            merged.append(r)
-    return merged
-
-
-def _polish_secant(f, a, b, fa, fb, target, lo, hi):
-    """Secant refinement inside a tight bracket; returns the best-|f| point."""
-    best_x, best_f = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(30):
-        if best_f <= target or f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi) or not math.isfinite(x2):
-            break
-        f2 = float(f(x2))
-        if abs(f2) < best_f:
-            best_x, best_f = x2, abs(f2)
-        else:
-            break
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x
+    scale = max(abs(a), abs(b), abs(c))
+    a, b, c = a / scale, b / scale, c / scale
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:
+        return [0.0]
+    return sorted({q / a, c / q})
 
 
 def _cubic_roots_in_unit_interval(coefficients):
-    """Roots strictly inside (0, 1) of the cubic with coefficients (c3, c2, c1, c0).
+    """Roots strictly inside (0, 1) of the cubic c3 x^3 + c2 x^2 + c1 x + c0, ascending.
 
-    One find_bracketed_roots call on [0, 1], with the cubic evaluated by
-    Horner's rule and |f| judged against its largest coefficient.
+    The roots of f'(x) / 3 split [0, 1] into at most three monotone
+    pieces.  A piece whose ends differ in sign holds one root, which is
+    bisected; an exact zero at an interior piece end is a root too.
+    |c3| + |c2| + |c1| + |c0| bounds every Horner intermediate on [0, 1].
     """
-    c3, c2, c1, c0 = coefficients
+    c3, c2, c1, c0 = map(float, coefficients)
+    if not math.isfinite(abs(c3) + abs(c2) + abs(c1) + abs(c0)):
+        raise ValueError(f"cubic coefficients must be finite with a finite sum, got {coefficients}")
 
     def cubic(x):
         return ((c3 * x + c2) * x + c1) * x + c0
 
-    coef_scale = max(1.0, abs(c3), abs(c2), abs(c1), abs(c0))
-    roots = find_bracketed_roots(cubic, 0.0, 1.0, subdivisions=64, scale=coef_scale)
-    return [r for r in roots if 0.0 < r < 1.0]
+    critical = _quadratic_roots(c3, 2.0 / 3.0 * c2, c1 / 3.0)
+    ends = [0.0, *(x for x in critical if 0.0 < x < 1.0), 1.0]
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):
+        f_lo, f_hi = cubic(lo), cubic(hi)
+        if lo > 0.0 and f_lo == 0.0:
+            roots.append(lo)
+        elif f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0):
+            roots.append(_bisect(cubic, lo, hi, f_lo, f_hi))
+    return roots
+
+
+def _bisect(f, lo, hi, f_lo, f_hi):
+    """Halve [lo, hi], where f changes sign, until no float lies strictly
+    inside; return the end with the smaller |f| or an exact zero."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def eta_cubic_coefficients(lambda_: float, n_dim: int):
@@ -202,8 +176,6 @@ def params_from_lambda(g: float, lambda_: float, eta: float, n_dim: int) -> Zero
 
 
 def _fmt_res(p: PotentialParams) -> str:
-    from .trial import m_zero_residual, zero_energy_residual
-
     return f"m: {m_zero_residual(p):.3e}, e0: {zero_energy_residual(p):.3e}"
 
 

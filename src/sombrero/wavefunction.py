@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialParams, eval_potential
+from .solvers import _quadratic_roots
 from .trial import TrialParams, derive_trial
 
 
@@ -75,28 +76,14 @@ def derivatives_s0(w: TrialWavefunction, r):
 def maxima_radius(w: TrialWavefunction) -> PeakLocation:
     """Locate the global maximum of psi along the radial profile.
 
-    For m = 0 the stationary condition is closed-form: an off-center
-    ring maximum at r = sqrt(c / (2a)) (equal to sqrt(2c/g)) when c > 0,
-    with a valley at r = 0; otherwise the single maximum sits at r = 0.
-    For m != 0 the stationary radii are found numerically by bracketing
-    the zeros of S0'.
+    With u = r^2, S0'(r) = 2 r [2a u - c + m / (u + 1)], so the peak is
+    whichever of r = 0 and the sqrt(u) for positive roots u of
+    2a u^2 + (2a - c) u + (m - c) has the smallest S0.  For m = 0 that
+    is a ring at r = sqrt(c / (2a)) = sqrt(2c/g) when c > 0, else r = 0.
     """
     t = w.trial
-    if t.m == 0.0:
-        if t.c > 0.0:
-            return PeakLocation(radius=math.sqrt(t.c / (2.0 * t.a)), valley_at_origin=True)
-        return PeakLocation(radius=0.0, valley_at_origin=False)
-
-    from .solvers import find_bracketed_roots
-
-    # all stationary radii satisfy 2a r^2 <= |c| + |m|, so bracket just past that
-    r_hi = math.sqrt((abs(t.c) + abs(t.m)) / (2.0 * t.a)) + 1.0
-
-    def s0_prime(r):
-        return derivatives_s0(w, r)[0]
-
-    candidates = [0.0]
-    candidates += [r for r in find_bracketed_roots(s0_prime, 1e-9 * r_hi, r_hi, subdivisions=256) if r > 1e-8 * r_hi]
+    roots = _quadratic_roots(2.0 * t.a, 2.0 * t.a - t.c, t.m - t.c)
+    candidates = [0.0, *(math.sqrt(u) for u in roots if u > 0.0)]
     best = min(candidates, key=lambda r: eval_s0(w, r))
     return PeakLocation(radius=best, valley_at_origin=best > 0.0)
 

@@ -267,18 +267,26 @@ class TestEtaMu:
             assert proc.returncode == 0
 
     def test_no_root_exits_1(self, capsys):
-        code, _, err = run_cli(["eta-mu", "--g", "0.5", "--N", "3"], capsys)
-        assert code == 1
-        assert "eta" in err
-
-    def test_root_missing_the_constraints_exits_1(self, capsys):
-        # at g = 1e4 the cubic's root rebuilds a potential whose e0
-        # residual is 1.3e-5, so no checked solution comes out
-        code, out, err = run_cli(["eta-mu", "--g", "1e4", "--N", "3"], capsys)
+        # the cubic is negative on all of (0, 1) for g < 3/4
+        code, out, err = run_cli(["eta-mu", "--g", "0.5", "--N", "3"], capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("no solution: ")
+        assert "eta" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_strong_coupling_fails_at_the_grid_cap(self, capsys):
+        # the solution meets both constraints, but the 8000-cell grid
+        # cannot resolve its narrow ring: |E - e0| = 6.7e-5
+        code, out, err = run_cli(["eta-mu", "--g", "1e4", "--N", "3", "--format", "json"], capsys)
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["verification"]["verdict"] == "FAIL"
+        assert doc["verification"]["failures"] == ["oracle_energy_vs_e0"]
+        assert doc["verification"]["energy_error"] > 1e-6
+        assert abs(doc["verification"]["m_residual"]) < 1e-10
+        assert abs(doc["verification"]["zero_energy_residual"]) < 1e-10
 
     def test_nonpositive_g_exits_2(self, capsys):
         code, _, _ = run_cli(["eta-mu", "--g", "0", "--N", "3"], capsys)
@@ -429,6 +437,8 @@ class TestLibraryErrors:
             ["derive", "--g", "1e200", "--alpha", "0", "--beta", "0", "--A", "0", "--N", "3"],
             # beta overflows when the potential is rebuilt from (g, lambda, eta)
             ["from-lambda", "--g", "1e-320", "--lambda", "1.5", "--N", "3"],
+            # the eta cubic's coefficients overflow to infinity
+            ["from-lambda", "--g", "1", "--lambda", "1e308", "--N", "9"],
         ],
     )
     def test_reported_in_one_line(self, argv, capsys):
@@ -532,8 +542,8 @@ class TestExitContract:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(log_g=st.floats(2.0, 9.0), n_dim=st.sampled_from([1, 3, 9]))
     def test_eta_mu_over_strong_couplings(self, log_g, n_dim):
-        # about a third of these couplings give a root whose rebuilt
-        # potential misses the constraints: one "no solution" line, exit 1
+        # every one of these couplings has a solution; where the oracle
+        # cannot resolve it at the grid cap the verdict is FAIL, exit 1
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["eta-mu", "--g", repr(10.0**log_g), "--N", str(n_dim)])

@@ -1,6 +1,7 @@
 """Root finder and the three constraint-solving routes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from sombrero import (
     NoRootError,
     eta_cubic_coefficients,
     eta_mu_cubic_coefficients,
-    find_bracketed_roots,
     jackiw_solutions,
     m_zero_residual,
     params_from_lambda,
@@ -24,70 +24,88 @@ from sombrero import solvers
 SQRT3 = math.sqrt(3.0)
 
 
-def eta_mu_cubic(g, n_dim):
-    c3, c2, c1, c0 = eta_mu_cubic_coefficients(g, n_dim)
+def exact_cubic(coefficients):
+    c3, c2, c1, c0 = map(Fraction, coefficients)
     return lambda x: ((c3 * x + c2) * x + c1) * x + c0
 
 
-class TestFindBracketedRoots:
-    def test_sqrt_two(self):
-        roots = find_bracketed_roots(lambda x: x * x - 2.0, 0.0, 2.0, subdivisions=64)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+def two_ulps(x, direction):
+    return math.nextafter(math.nextafter(x, direction), direction)
 
+
+class TestQuadraticRoots:
+    def test_both_roots_without_cancellation(self):
+        # x^2 - 1e8 x + 1: the small root 1e-8 loses every digit to
+        # cancellation in (-b - sqrt(b^2 - 4ac)) / 2a
+        small, large = solvers._quadratic_roots(1.0, -1e8, 1.0)
+        assert small == pytest.approx(1e-8, rel=1e-15)
+        assert large == pytest.approx(1e8, rel=1e-15)
+
+    def test_double_root_once(self):
+        assert solvers._quadratic_roots(1.0, -1.0, 0.25) == [0.5]
+        assert solvers._quadratic_roots(2.0, 0.0, 0.0) == [0.0]
+
+    def test_degenerate_and_complex(self):
+        assert solvers._quadratic_roots(0.0, 2.0, -1.0) == [0.5]
+        assert solvers._quadratic_roots(0.0, 0.0, 1.0) == []
+        assert solvers._quadratic_roots(1.0, 0.0, 1.0) == []
+
+    def test_huge_coefficients_do_not_overflow(self):
+        assert solvers._quadratic_roots(1e300, -3e300, 2e300) == pytest.approx([1.0, 2.0], rel=1e-15)
+
+
+class TestCubicRoots:
     def test_well_form_cubic_root(self):
         # 2x^3 + 4x^2 - 11/5 x - 9/5; root known to 16 digits from
         # high-precision Newton iteration
-        f = eta_mu_cubic(1.0, 3)
-        roots = find_bracketed_roots(f, 0.0, 1.0, subdivisions=64)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.7970051148705482, abs=1e-9)
-        assert abs(f(roots[0])) < 1e-12
+        roots = solvers._cubic_roots_in_unit_interval(eta_mu_cubic_coefficients(1.0, 3))
+        assert roots == [pytest.approx(0.7970051148705482, rel=1e-15)]
 
-    def test_no_real_root(self):
-        assert find_bracketed_roots(lambda x: x * x + 1.0, -1.0, 1.0) == []
+    def test_three_roots(self):
+        # (x - 1/4)(x - 1/2)(x - 3/4), one root on each monotone piece
+        roots = solvers._cubic_roots_in_unit_interval((1.0, -1.5, 0.6875, -0.09375))
+        assert roots == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
 
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="lo < hi"):
-            find_bracketed_roots(lambda x: x, 1.0, 1.0)
-        with pytest.raises(ValueError, match="lo < hi"):
-            find_bracketed_roots(lambda x: x, 2.0, 1.0)
+    def test_no_root(self):
+        assert solvers._cubic_roots_in_unit_interval((1.0, 0.0, 0.0, 1.0)) == []
+        # roots at 0 and 1 themselves are not inside (0, 1)
+        assert solvers._cubic_roots_in_unit_interval((0.0, 1.0, -1.0, 0.0)) == []
 
-    def test_rejects_too_few_subdivisions(self):
-        with pytest.raises(ValueError, match="subdivisions"):
-            find_bracketed_roots(lambda x: x, 0.0, 1.0, subdivisions=1)
+    def test_double_root_at_critical_point(self):
+        # (x - 1/2)^2 (x + 1): the root is a critical point, with no sign change
+        assert solvers._cubic_roots_in_unit_interval((1.0, 0.0, -0.75, 0.25)) == [0.5]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_rejects_nonfinite_function(self):
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(math.inf, 1.0, 1.0, -1.0), (1.0, math.nan, 1.0, -1.0), (1e308, 1e308, -1e308, -1e308)],
+        ids=["inf", "nan", "sum_overflows"],
+    )
+    def test_rejects_nonfinite_coefficients(self, coefficients):
         with pytest.raises(ValueError, match="finite"):
-            find_bracketed_roots(lambda x: 1.0 / x, -1.0, 1.0, subdivisions=4)
+            solvers._cubic_roots_in_unit_interval(coefficients)
 
-    def test_panel_boundary_root_counted_once(self):
-        # x = 0 is an exact panel point for an even number of panels
-        roots = find_bracketed_roots(lambda x: x, -1.0, 1.0, subdivisions=64)
-        assert roots == [0.0]
-
-    def test_multiple_roots(self):
-        f = lambda x: (x - 0.25) * (x - 0.5) * (x - 0.75)
-        roots = find_bracketed_roots(f, 0.0, 1.0, subdivisions=64)
-        assert len(roots) == 3
-        assert roots == pytest.approx([0.25, 0.5, 0.75], abs=1e-12)
-
-    def test_deterministic_and_subdivision_independent(self):
-        polys = [
-            eta_mu_cubic(1.0, 3),
-            eta_mu_cubic(1.3, 5),
-            lambda x: ((4.5 * x + 4.5) * x + 2.5) * x - 1.5,  # eta cubic, lambda=1.5 N=3
-            lambda x: x * x + 4.0 * math.sqrt(5.0 / 3.0) * x - 12.0 * (5.0 / 3.0),
-        ]
-        for f in polys:
-            baseline = find_bracketed_roots(f, -12.0, 1.0, subdivisions=64)
-            assert baseline == find_bracketed_roots(f, -12.0, 1.0, subdivisions=64)
-            for subdivisions in (128, 256, 501):
-                other = find_bracketed_roots(f, -12.0, 1.0, subdivisions=subdivisions)
-                assert len(other) == len(baseline)
-                for a, b in zip(baseline, other):
-                    assert abs(a - b) < 1e-12
+    @pytest.mark.parametrize(
+        "cubic, shape_ratios, expected_roots",
+        [
+            (eta_mu_cubic_coefficients, np.logspace(-1, 9, 100), 273),
+            (eta_cubic_coefficients, [1.0 + 2.0**-52, 1.0 + 1e-12, *np.linspace(1.0005, 10.0, 60), 1e6], 189),
+        ],
+        ids=["eta_mu", "eta"],
+    )
+    def test_sign_change_within_two_ulps(self, cubic, shape_ratios, expected_roots):
+        # the cubic with the float coefficients, evaluated exactly, changes
+        # sign between two ulps below and two ulps above each root
+        found = 0
+        for x in shape_ratios:
+            for n_dim in (1, 3, 9):
+                coefficients = cubic(float(x), n_dim)
+                f = exact_cubic(coefficients)
+                roots = solvers._cubic_roots_in_unit_interval(coefficients)
+                for root in roots:
+                    lo, hi = two_ulps(root, 0.0), two_ulps(root, 1.0)
+                    assert f(Fraction(lo)) * f(Fraction(hi)) <= 0, (x, n_dim, root)
+                found += len(roots)
+        assert found == expected_roots
 
 
 class TestSolveEta:
@@ -199,15 +217,10 @@ class TestJackiwSolutions:
                 assert satisfies_m_zero(branch.potential)
 
     def test_root_finder_reproduces_both_branches(self):
-        # the quadratic that defines the branches, handed to the shared finder
+        # the quadratic that defines the branches, handed to the shared quadratic solver
         r0_sq = math.sqrt(5.0 / 3.0)
-        roots = find_bracketed_roots(
-            lambda x: x * x + 4 * r0_sq * x - 12 * r0_sq**2,
-            -8 * r0_sq,
-            4 * r0_sq,
-            subdivisions=64,
-        )
-        assert roots == pytest.approx([-6 * r0_sq, 2 * r0_sq], abs=1e-12)
+        roots = solvers._quadratic_roots(1.0, 4 * r0_sq, -12 * r0_sq**2)
+        assert roots == pytest.approx([-6 * r0_sq, 2 * r0_sq], rel=1e-15)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError, match="n_dim"):
@@ -256,21 +269,31 @@ class TestSolveEtaMu:
     @pytest.mark.parametrize("solve, args", [(solve_eta, (1.5, 3)), (solve_eta_mu, (1.0, 3))])
     def test_one_root_finder_call_per_solve(self, solve, args, monkeypatch):
         calls = []
-        find = solvers.find_bracketed_roots
+        find = solvers._cubic_roots_in_unit_interval
 
-        def counted(*a, **kw):
-            calls.append(kw)
-            return find(*a, **kw)
+        def counted(coefficients):
+            calls.append(coefficients)
+            return find(coefficients)
 
-        monkeypatch.setattr(solvers, "find_bracketed_roots", counted)
+        monkeypatch.setattr(solvers, "_cubic_roots_in_unit_interval", counted)
         solve(*args)
         assert len(calls) == 1
-        assert calls[0]["subdivisions"] == 64
 
     @pytest.mark.parametrize("g, n_dim", [(1e4, 3), (3e3, 1), (1e4, 9)])
-    def test_root_missing_the_constraints_is_no_root(self, g, n_dim):
+    def test_strong_coupling_meets_both_residuals(self, g, n_dim):
+        # a root found to an absolute 1e-12 missed the e0 residual here
+        sol = solve_eta_mu(g, n_dim)
+        assert 0.0 < sol.jackiw_form.eta < 1e-3
+        assert satisfies_m_zero(sol.potential)
+        assert satisfies_zero_energy(sol.potential)
+
+    def test_root_missing_the_constraints_is_no_root(self, monkeypatch):
+        find = solvers._cubic_roots_in_unit_interval
+        monkeypatch.setattr(
+            solvers, "_cubic_roots_in_unit_interval", lambda c: [r * (1.0 + 1e-6) for r in find(c)]
+        )
         with pytest.raises(NoRootError, match="misses the constraints"):
-            solve_eta_mu(g, n_dim)
+            solve_eta_mu(1e4, 3)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="g"):

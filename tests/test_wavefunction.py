@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sombrero import (
     PotentialParams,
@@ -131,7 +133,7 @@ class TestMaxima:
         assert peak.radius == pytest.approx(math.sqrt(2.0 * sol.trial.c), rel=1e-12)
         assert peak.radius == pytest.approx(0.5119231092887727, abs=1e-9)
 
-    def test_numeric_path_against_closed_form(self):
+    def test_log_term_against_closed_form(self):
         # with the log term, stationary radii solve 2a u^2 + (2a-c) u + (m-c) = 0, u = r^2
         a, c, m = 0.25, 1.0, 0.5
         w = TrialWavefunction(
@@ -146,10 +148,33 @@ class TestMaxima:
         d1, _ = derivatives_s0(w, peak.radius)
         assert abs(d1) < 1e-12
 
-    def test_numeric_path_centered(self):
+    def test_log_term_centered(self):
         peak = maxima_radius(log_trial())
         assert peak.radius == 0.0
         assert not peak.valley_at_origin
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+        c=st.floats(-100.0, 100.0),
+        m=st.floats(-100.0, 100.0),
+    )
+    def test_peak_minimizes_the_exponent(self, a, c, m):
+        w = TrialWavefunction(
+            trial=TrialParams(a=a, c=c, m=m),
+            potential=PotentialParams(g=4 * a, alpha=0, beta=0, bigA=0, n_dim=3),
+        )
+        peak = maxima_radius(w)
+        assert peak.valley_at_origin == (peak.radius > 0.0)
+        # every stationary radius has 2a r^2 <= |c| + |m|, and S0 grows beyond
+        r_hi = math.sqrt((abs(c) + abs(m)) / (2 * a)) + 1.0
+        stationary = [
+            math.sqrt(u.real) for u in np.roots([2 * a, 2 * a - c, m - c]) if u.imag == 0 and u.real > 0
+        ]
+        radii = np.concatenate([[0.0], stationary, np.linspace(0.0, r_hi, 2001)])
+        s0 = eval_s0(w, radii)
+        scale = a * r_hi**4 + abs(c) * r_hi**2 + abs(m) * math.log1p(r_hi**2)
+        assert eval_s0(w, peak.radius) <= s0.min() + 1e-12 * scale
 
 
 class TestSchrodingerResidual:
