@@ -11,9 +11,19 @@ boxing.  Everything numpy does exactly (elementwise arithmetic, max,
 first arg-extremum, running sums and products) is left to numpy.  Every
 operation that reaches a result happens in a fixed order, so the answers
 are reproducible bit for bit.
+
+The bisection is aimed by the twisted factorization too: secant steps
+on the gap gamma_k(x) of T - x*I at one fixed index k, which vanishes
+at the eigenvalue, give an estimate within a few abs_tol of it, and
+probes just either side of that estimate answer the questions the
+bisection will ask near the end.  A probe's answer is monotone in the
+probe point, so a known answer only lets the bisection skip a probe;
+the bisection's own sequence of brackets, and so its result, stays bit
+for bit the one without the estimate (see smallest_eigenvalue).
 """
 
 import math
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -21,6 +31,15 @@ import numpy as np
 # Smallest normal double; pivot floors scale from this so the Sturm
 # recurrence never divides by an exact zero.
 _SAFMIN = 2.2250738585072014e-308
+# Aiming the bisection (see smallest_eigenvalue): a cold call aims once
+# its bracket is narrower than _AIM_START * abs_tol; the secant takes at
+# most _AIM_STEPS steps and stops at a step within _AIM_WIDTHS[0] *
+# abs_tol; its estimate is then probed each of _AIM_WIDTHS * abs_tol
+# either side, nearest first, until one pair of probes brackets the
+# eigenvalue.
+_AIM_START = 2.0**30
+_AIM_STEPS = 5
+_AIM_WIDTHS = (4.0, 64.0, 1024.0)
 
 
 def _max_skipping_nan(a, initial=0.0) -> float:
@@ -57,6 +76,54 @@ def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
     return False
 
 
+def _last_pivot(x, d, e2, pivmin) -> float:
+    """Last pivot of the walk _pivots makes over d - x, floored the same way."""
+    q = 1.0
+    for di, e2i in zip(d, chain((0.0,), e2)):
+        q = di - x - e2i / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+    return q
+
+
+def _twisted_gap(x, d, e2, k, pivmin) -> float:
+    """gamma_k(x) = (d_k - x) - e2_(k-1) / D+_(k-1) - e2_k / D-_(k+1).
+
+    The twisted factorization's gap at index k (see eigenvector), from a
+    top-down walk to k - 1 and a bottom-up walk to k + 1 over the
+    memoryviews d and e2; it is 1 / [(T - x*I)^-1]_kk, so it vanishes at
+    an eigenvalue and is near linear in x close to one.
+    """
+    gap = d[k] - x
+    if k > 0:
+        gap -= e2[k - 1] / _last_pivot(x, d[:k], e2[: k - 1], pivmin)
+    if k < len(d) - 1:
+        gap -= e2[k] / _last_pivot(x, d[:k:-1], e2[:k:-1], pivmin)
+    return gap
+
+
+def _secant_root(f, x0, x1, abs_tol) -> float:
+    """A root of f by secant steps from x0 and x1.
+
+    Stops at the first step no longer than abs_tol, after _AIM_STEPS
+    steps, or where f takes one value at both points (the steps are then
+    down in f's rounding noise); NaN once f is not finite.  The
+    arithmetic is on Python floats, which overflow to infinity and NaN
+    without a warning.
+    """
+    f0 = f(x0)
+    for _ in range(_AIM_STEPS):
+        f1 = f(x1)
+        if not (math.isfinite(f0) and math.isfinite(f1)):
+            return math.nan
+        if f0 == f1:
+            break
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        if not abs(x1 - x0) > abs_tol:
+            break
+    return x1
+
+
 def smallest_eigenvalue(d, e, abs_tol, hints=()):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
@@ -73,8 +140,16 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     stops there; a floored pivot is thus never fed back into the
     recurrence.  NaN pivots compare false and never count.
 
-    hints are points probed before the bisection starts, typically just
-    below and just above an estimate of the eigenvalue.  They change how
+    The bisection is aimed before it narrows the bracket to the end.
+    Secant steps on the twisted gap gamma_k(x) at k = argmin(d) (see
+    _twisted_gap; each step costs about one probe) estimate the
+    eigenvalue; they start from the outermost two hints, or in a call
+    with fewer hints from the bisection's own (lo, hi) once it is
+    narrower than _AIM_START * abs_tol.  Then the points estimate +- w *
+    abs_tol for each w in _AIM_WIDTHS, and after them the hints, are
+    probed, each only while its answer is not yet known.  hints are
+    typically just below and just above an estimate of the eigenvalue;
+    non-finite hints are dropped.  The estimate and the hints change how
     long the bisection takes, never its result.  The computed answer is
     monotone in the probe point x when d and e*e are finite: for x <= x',
     fl(d_0 - x) >= fl(d_0 - x'), because round-to-nearest subtraction is
@@ -86,12 +161,12 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     every pivot at x is at least the one at x', up to the first pivot at
     x' under pivmin.  Hence "no" at x means "no" at every point <= x, and
     "yes" at x' means "yes" at every point >= x'.  The bisection keeps
-    the largest hint that answered no and the smallest that answered
+    the largest point that answered no and the smallest that answered
     yes, and a later mid at or beyond one of them takes the known answer
     without walking the recurrence: the (lo, hi) sequence, and so the
     result, is bit for bit the one without hints.  With a NaN or an
-    infinity in d, e*e or the hints the argument fails, so the hints are
-    then ignored.
+    infinity in d or e*e the argument fails, so the bisection is then
+    neither aimed nor hinted.
     """
     n = d.shape[0]
     if n == 1:
@@ -107,16 +182,29 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
 
     # memoryviews hand out one Python float at a time; a tolist() copy
     # iterates ~15% faster but holds n float objects per array
-    args = (float(d[0]), memoryview(d)[1:], memoryview(e2), pivmin)
+    dv, e2v = memoryview(d), memoryview(e2)
+    args = (float(d[0]), dv[1:], e2v, pivmin)
     known_no, known_yes = -math.inf, math.inf
-    hints = [float(x) for x in hints]
-    if hints and all(map(math.isfinite, hints)) and np.isfinite(d).all() and np.isfinite(e2).all():
-        for x in hints:
-            if _pivot_below(x, *args):
-                known_yes = min(known_yes, x)
-            else:
-                known_no = max(known_no, x)
+
+    hints = [x for x in map(float, hints) if math.isfinite(x)]
+    aim = bool(np.isfinite(d).all() and np.isfinite(e2).all())
+    k = int(np.argmin(d)) if aim else 0
     while hi - lo > abs_tol:
+        if aim and (len(hints) > 1 or hi - lo < _AIM_START * abs_tol):
+            aim = False
+            start = (min(hints), max(hints)) if len(hints) > 1 else (lo, hi)
+            gap = partial(_twisted_gap, d=dv, e2=e2v, k=k, pivmin=pivmin)
+            estimate = _secant_root(gap, *start, _AIM_WIDTHS[0] * abs_tol)
+            points = []
+            if math.isfinite(estimate):
+                points = [estimate + side * w * abs_tol for w in _AIM_WIDTHS for side in (-1.0, 1.0)]
+            for x in points + hints:
+                # only a point strictly between the known answers adds one
+                if known_no < x < known_yes:
+                    if _pivot_below(x, *args):
+                        known_yes = x
+                    else:
+                        known_no = x
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -140,7 +228,7 @@ def _pivots(shifted, e2, pivmin) -> np.ndarray:
     q = 1.0
     for i, (si, e2i) in enumerate(zip(memoryview(shifted), chain((0.0,), memoryview(e2)))):
         q = si - e2i / q
-        if abs(q) < pivmin:
+        if -pivmin < q < pivmin:
             q = -pivmin
         buf[i] = q
     return out

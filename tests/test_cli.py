@@ -96,6 +96,17 @@ class TestDerive:
         assert float(table["derived.m"]) == 1.25
         assert float(table["derived.e0"]) == 2.5
 
+    def test_unresolved_oracle_is_named(self, capsys):
+        # e0 = 0 exactly; at the 8000-cell cap the ladder's error estimate
+        # is 2.1e-6, and so is |E - e0|, both above the 1e-6 tolerance
+        code, out, err = run_cli(["eta-mu", "--g", "3000", "--N", "3"], capsys)
+        assert code == 1
+        assert err == ""
+        table = parse_table(out)
+        assert table["solution.e0"] == "0"
+        assert table["verification.verdict"] == "FAIL"
+        assert [v for k, v in table.items() if k.startswith("verification.failures.")] == ["oracle_unresolved"]
+
     def test_nonpositive_g_exits_2(self, capsys):
         code, _, err = run_cli(
             ["derive", "--g", "-1", "--alpha", "0", "--beta", "0", "--A", "0", "--N", "3"],
@@ -277,13 +288,15 @@ class TestEtaMu:
 
     def test_strong_coupling_fails_at_the_grid_cap(self, capsys):
         # the solution meets both constraints, but the 8000-cell grid
-        # cannot resolve its narrow ring: |E - e0| = 6.7e-5
+        # cannot resolve its narrow ring, |E - e0| = 6.7e-5, and the
+        # ladder's own error estimate says so: the verdict names the
+        # unresolved oracle, not a wrong energy
         code, out, err = run_cli(["eta-mu", "--g", "1e4", "--N", "3", "--format", "json"], capsys)
         assert code == 1
         assert err == ""
         doc = json.loads(out)
         assert doc["verification"]["verdict"] == "FAIL"
-        assert doc["verification"]["failures"] == ["oracle_energy_vs_e0"]
+        assert doc["verification"]["failures"] == ["oracle_unresolved"]
         assert doc["verification"]["energy_error"] > 1e-6
         assert abs(doc["verification"]["m_residual"]) < 1e-10
         assert abs(doc["verification"]["zero_energy_residual"]) < 1e-10

@@ -23,6 +23,7 @@ from sombrero import (
     jackiw_solutions,
     params_from_lambda,
     solve_eta,
+    solve_eta_mu,
     trial_split,
     verify_solution,
 )
@@ -133,6 +134,24 @@ class TestHarmonicCalibration:
         # target 1e-8 / r_max^2 = 6.9e-11 on the estimate of the error
         res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0)
         assert abs(res.energy - n_dim / 2.0) <= 1e-9
+
+    @pytest.mark.parametrize("n_dim", [1, 3, 9])
+    def test_error_estimate_is_the_ladders_own(self, n_dim, monkeypatch):
+        raw = []
+        smallest_eigenvalue = _kernels.smallest_eigenvalue
+
+        def recorded(*args):
+            raw.append(smallest_eigenvalue(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", recorded)
+        res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0)
+        energies = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(raw, raw[1:])]
+        assert res.energy == energies[-1]
+        assert res.error_estimate == abs(energies[-1] - energies[-2]) / 15.0
+        assert res.error_estimate <= 1e-8 / 12.0**2
+        # an explicit grid solves one pair, which gives no estimate
+        assert groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0, n_points=500).error_estimate is None
 
     def test_second_order_convergence_and_extrapolation_gain(self):
         res = groundstate(lambda r: 0.5 * r * r, n_dim=3, r_max=12.0, n_points=250)
@@ -262,6 +281,18 @@ class TestVerifySolution:
         assert report.max_residual < 1e-9
         assert abs(report.m_residual) < 1e-10
 
+    def test_unresolved_oracle_is_not_a_wrong_claim(self):
+        # g = 3000, N = 3 meets both constraints (e0 = 0 exactly), but at
+        # the 8000-cell cap the ladder's own error estimate, 2.1e-6, is
+        # above the 1e-6 tolerance: the verdict names the oracle
+        sol = solve_eta_mu(3000.0, 3)
+        assert trial_split(sol.potential, sol.trial).e0 == 0.0
+        report = verify_solution(sol)
+        assert not report.passed
+        assert report.failures == ("oracle_unresolved",)
+        assert report.energy_error > eigensolver.TOL_ENERGY
+        assert report.similarity > 1.0 - eigensolver.TOL_SIMILARITY
+
     def test_perturbed_beta_fails_with_flags(self, worked_potential):
         p = PotentialParams(
             g=worked_potential.g,
@@ -370,6 +401,30 @@ class TestStages:
         assert calls["vector_size"] == 8000
         assert res.grid.n_points == 8000
         assert abs(res.energy) < 1e-8
+
+    def test_aimed_bisection_probe_counts(self, worked_potential, monkeypatch):
+        # a count, not a timing: Sturm probes per ladder level.  Without
+        # the secant aim the levels took 51 (cold, 250 cells), 45 (500
+        # cells, where the hint from the 250-cell eigenvalue misses) and 25;
+        # with it, 27, 7 and 7
+        probes = []
+        pivot_below, smallest_eigenvalue = _kernels._pivot_below, _kernels.smallest_eigenvalue
+
+        def counted_pivot_below(*args):
+            probes[-1] += 1
+            return pivot_below(*args)
+
+        def per_level(*args):
+            probes.append(0)
+            return smallest_eigenvalue(*args)
+
+        monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
+        assert groundstate(worked_potential).grid.n_points == 1000
+        cold, *hinted = probes
+        assert len(hinted) == 2
+        assert cold <= 40
+        assert max(hinted) <= 12
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)

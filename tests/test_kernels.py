@@ -9,7 +9,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sombrero import RadialGrid, _kernels, discretize
+from sombrero import PotentialParams, RadialGrid, _kernels, derive_trial, discretize, groundstate, trial_split
+from conftest import SQRT3, random_potential
 
 
 def random_tridiagonal(rng, n):
@@ -119,6 +120,58 @@ def assert_same_bits(d, e, tol, hints_seed=0):
             assert np.float64(hinted).tobytes() == np.float64(ref).tobytes(), hints
 
 
+def groundstate_bisections(*args, **kwargs):
+    """(d, e, abs_tol, hints) of each bisection a groundstate solve makes."""
+    calls = []
+    smallest_eigenvalue = _kernels.smallest_eigenvalue
+
+    def recorded(d, e, abs_tol, hints=()):
+        calls.append((d, e, abs_tol, tuple(hints)))
+        return smallest_eigenvalue(d, e, abs_tol, hints)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "smallest_eigenvalue", recorded)
+        groundstate(*args, **kwargs)
+    return calls
+
+
+def gap_pole(d, e):
+    """The pole of gamma_k(x) between the two smallest eigenvalues, for the
+    aim's k = argmin(d): the smallest eigenvalue of T without row and
+    column k."""
+    k = int(np.argmin(d))
+    blocks = [(d[:k], e[: k - 1]), (d[k + 1 :], e[k + 1 :])]
+    return min(
+        sla.eigh_tridiagonal(bd, be, select="i", select_range=(0, 0), eigvals_only=True)[0]
+        for bd, be in blocks
+        if bd.size
+    )
+
+
+def aimed_gap(d, e, x):
+    """gamma_k(x) at the index k = argmin(d) that smallest_eigenvalue aims with."""
+    e2 = e * e
+    pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    return _kernels._twisted_gap(x, memoryview(d), memoryview(e2), int(np.argmin(d)), pivmin)
+
+
+def _worked_case():
+    # the automatic domain: 250, 500 and 1000 cells
+    p = PotentialParams(g=1.5, alpha=2.0 * SQRT3, beta=2.0, bigA=2.0 * SQRT3 / 3.0, n_dim=3)
+    return groundstate_bisections(p)
+
+
+def _callable_correction():
+    # V - h with h the trial's correction, as the identity sweep solves it
+    p = random_potential(np.random.default_rng(5))
+    split = trial_split(p, derive_trial(p))
+    return groundstate_bisections(p, extra_potential=split.h_at, r_max=8.0, n_points=2000)
+
+
+def _oscillator():
+    return groundstate_bisections(lambda r: 0.5 * r * r, n_dim=1, r_max=12.0, n_points=2000)
+
+
 class TestMatchesLoopReference:
     """The bisection performs the loop version's IEEE-754 operations in
     the same order, so every result is identical to the last bit, whatever
@@ -157,6 +210,50 @@ class TestMatchesLoopReference:
             e_bad = e.copy()
             e_bad[min(pos, 8)] = bad
             assert_same_bits(d, e_bad, 1e-12)
+
+    @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
+                             ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
+    def test_aimed_oracle_bisections(self, solve):
+        # every bisection of the solve (the cold first level included),
+        # with the hints it was given and with hints that mislead the aim:
+        # both on one side of the eigenvalue, straddling the second
+        # eigenvalue or the pole of the aim's gamma_k between the two,
+        # far outside the Gershgorin bracket, or so far apart that the
+        # secant step overflows.  No numpy warning is allowed on the way.
+        for d, e, tol, hints in solve():
+            ref = float(loop_smallest_eigenvalue(d, e, tol))
+            second = sla.eigh_tridiagonal(d, e, select="i", select_range=(1, 1), eigvals_only=True)[0]
+            pole = gap_pole(d, e)
+            w = 1e6 * tol  # the width of the hints groundstate passes
+            assert ref < pole < second
+            assert aimed_gap(d, e, pole - w) < 0.0 < aimed_gap(d, e, pole + w)
+            reach = 1e3 * float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+            for pair in [
+                hints,
+                (ref + w, ref + 2.0 * w),
+                (ref - 2.0 * w, ref - w),
+                (second - w, second + w),
+                (pole - w, pole + w),
+                (reach, reach + w),
+                (-reach - w, -reach),
+                (-np.finfo(float).max, np.finfo(float).max),
+            ]:
+                got = _kernels.smallest_eigenvalue(d, e, tol, pair)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d.size, pair)
+
+    def test_gap_overflow_skips_the_aim(self):
+        # entries near the top of the double range: gamma_k at the hints is
+        # infinite, so the aim is skipped and only the hints are probed
+        rng = np.random.default_rng(83)
+        d = rng.uniform(9e307, 1.7e308, 40)
+        e = rng.uniform(-1e150, 1e150, 39)
+        hints = (-1e308, -9e307)
+        assert aimed_gap(d, e, hints[0]) == aimed_gap(d, e, hints[1]) == math.inf
+        with np.errstate(all="ignore"):
+            ref = loop_smallest_eigenvalue(d, e, 1e-3)
+        for pair in (hints, ()):
+            got = _kernels.smallest_eigenvalue(d, e, 1e-3, pair)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
