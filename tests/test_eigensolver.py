@@ -499,6 +499,31 @@ class TestPinnedAnswers:
             8.0,
         )
 
+    def test_grid_ladder_worked_case(self, worked_potential):
+        # the default solve path of verify and eta-mu: automatic domain,
+        # grid ladder to its accuracy target (it stops at 1000 cells)
+        res = groundstate(worked_potential)
+        self.assert_pinned(
+            res,
+            "0x1.e3f1aebf2aaabp-32",
+            ("-0x1.a47ca49e59b50p-15", "-0x1.a479ceb3d3964p-17"),
+            "1d31e0dc16b2a113818ea5b5fbde2e23b59414b5d5e3530bea31976f1ed88955",
+            3.462249204802943,
+        )
+        assert res.error_estimate.hex() == "0x1.dc523af89f49fp-32"
+
+    def test_grid_ladder_auto_domain(self):
+        (eta,) = solve_eta(1.5, 3)
+        res = groundstate(params_from_lambda(0.01, 1.5, eta, 3).potential)
+        self.assert_pinned(
+            res,
+            "0x1.4b0e86df60000p-35",
+            ("-0x1.12a92f0c27465p-18", "-0x1.12a73e765cf74p-20"),
+            "dbd4063a0d252a3786ef2fb8ab75d7a87924a7b56bca9cf76849c761f9d1bd2e",
+            12.116610267070016,
+        )
+        assert res.error_estimate.hex() == "0x1.35e12b44dd27dp-35"
+
     def test_one_dimensional_harmonic_oscillator(self):
         self.assert_pinned(
             groundstate(lambda r: 0.5 * r * r, n_dim=1, r_max=12.0, n_points=2000),
