@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .eigensolver import verify_solution
+from .eigensolver import DEFAULT_GRID_POINTS, verify_solution
 from .potential import PotentialParams, eval_potential
 from .solvers import (
     NoRootError,
@@ -80,7 +80,7 @@ _POSITIVE = _checked(float, lambda x: x > 0, "finite and > 0")
 _NONNEGATIVE = _checked(float, lambda x: x >= 0, "finite and >= 0")
 _ABOVE_ONE = _checked(float, lambda x: x > 1, "finite and > 1")
 _DIMENSION = _checked(int, lambda n: n >= 1, ">= 1")
-_GRID = _checked(int, lambda n: n >= 16, ">= 16")
+_GRID = _checked(int, lambda n: n >= 64 and n % 4 == 0, "a multiple of 4 and >= 64")
 _STEPS = _checked(int, lambda n: n >= 2, ">= 2")
 
 
@@ -291,7 +291,10 @@ def _add_oracle_flags(sub):
         "--rmax", type=_POSITIVE, default=None, help="oracle domain (default: from the potential's length scale)"
     )
     sub.add_argument(
-        "--grid", type=_GRID, default=None, help="oracle grid points (default: grid ladder to an accuracy target)"
+        "--grid",
+        type=_GRID,
+        default=DEFAULT_GRID_POINTS,
+        help=f"finest grid of the ladder (default {DEFAULT_GRID_POINTS})",
     )
 
 

@@ -39,9 +39,11 @@ _WKB_REACH = 40.0
 # half-width, in units of the energy scale, of the pair of points around
 # an eigenvalue estimate from which a bisection's secant aim starts
 _HINT_WIDTH = 1e-6
-# grid ladder: cells per level (spacing halved each time, up to the cap)
-# and the error target of the extrapolated energy, in units of 1/r_max^2
-_LADDER = tuple(250 * 2**k for k in range(6))
+# grid ladder: the default finest grid, the fewest cells a level below
+# the third-finest may have, and the error target of the extrapolated
+# energy, in units of 1/r_max^2
+DEFAULT_GRID_POINTS = 8000
+_LADDER_FLOOR = 250
 _LADDER_TARGET = 1e-8
 # verify_solution passes a claim when the oracle's error estimate and
 # |E - e0| are below TOL_ENERGY and the cosine similarity of the
@@ -98,14 +100,14 @@ class EigenResult:
     richardson_pair keeps the two raw eigenvalues (coarse, fine) behind
     the extrapolation.  error_estimate is the grid ladder's own estimate
     of the energy's error, |E_k - E_(k-1)| / 15 over its last two
-    levels, or None for an explicit n_points, which solves one pair.
+    levels; every solve has one.
     """
 
     energy: float
     vector: np.ndarray
     grid: RadialGrid
     richardson_pair: tuple[float, float]
-    error_estimate: float | None
+    error_estimate: float
 
 
 def _resolve_potential(potential, n_dim):
@@ -172,6 +174,24 @@ def _energy_scale(v_at, r_max: float) -> float:
     return max(1.0, abs(v0), abs(v_edge) ** (1.0 / 3.0))
 
 
+def _ladder(n_points: int) -> tuple[int, ...]:
+    """Cells per grid-ladder level, coarsest first, with n_points the finest.
+
+    The levels are n_points, n_points/2, n_points/4, ... down to the
+    smallest exact halving with at least _LADDER_FLOOR cells, and always
+    at least three, so that the finest level has an error estimate:
+    8000 gives 250, 500, ..., 8000 and 2000 gives 250, 500, 1000, 2000.
+    Raises ValueError unless n_points is a multiple of 4 and at least
+    64, which makes n_points/4 an exact level of MIN_GRID_POINTS or more.
+    """
+    if n_points % 4 or n_points < 4 * MIN_GRID_POINTS:
+        raise ValueError(f"n_points must be a multiple of 4 and at least {4 * MIN_GRID_POINTS}, got {n_points}")
+    levels = [n_points, n_points // 2, n_points // 4]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= _LADDER_FLOOR:
+        levels.append(levels[-1] // 2)
+    return tuple(reversed(levels))
+
+
 def _domain_radius(p: PotentialParams) -> float:
     """Outer radius of the domain for a sextic potential, from V and N alone.
 
@@ -209,7 +229,7 @@ def groundstate(
     potential,
     extra_potential=None,
     r_max: float = None,
-    n_points: int = None,
+    n_points: int = DEFAULT_GRID_POINTS,
     n_dim: int = None,
 ) -> EigenResult:
     """Smallest eigenvalue and groundstate vector of V - extra_potential.
@@ -217,17 +237,19 @@ def groundstate(
     Solves on one domain [0, r_max] over a ladder of grids, each with
     half the spacing of the one before, and Richardson-extrapolates each
     consecutive pair of raw eigenvalues, E_k = (4 e_k - e_(k-1)) / 3.
-    With n_points=None the ladder runs 250, 500, 1000, ... cells and
-    stops at the first level from the third on where the extrapolated
-    error estimate |E_k - E_(k-1)| / 15 is at most 1e-8 / r_max^2, or at
-    8000 cells, whatever the estimate there; the target scales like the
-    energy under r -> s r, so a rescaled potential stops at the same
-    level; that estimate for the last level comes back as
-    error_estimate.  An explicit n_points solves on n_points and
-    2*n_points cells only, with error_estimate None.  The energy,
+    n_points is the finest grid the ladder may use (see _ladder for its
+    levels; 8000 gives 250, 500, ..., 8000 cells).  The first level is
+    bisected cold, each later one from the eigenvalue the levels below
+    predict.  The ladder stops at the first level from the third on
+    where the extrapolated error estimate |E_k - E_(k-1)| / 15 is at
+    most 1e-8 / r_max^2, or at n_points cells, whatever the estimate
+    there; the target scales like the energy under r -> s r, so a
+    rescaled potential stops at the same level; that estimate for the
+    last level comes back as error_estimate.  The energy,
     richardson_pair and vector all come from the last pair of levels;
     the vector is one twisted factorization
     (_kernels.eigenvector) at the finest grid's eigenvalue.  Raises
+    ValueError unless n_points is a multiple of 4 and at least 64, and
     RuntimeError when two consecutive raw eigenvalues disagree by more
     than a tenth of the energy scale (grid too coarse), and when the
     vector is not finite or changes sign.
@@ -243,6 +265,7 @@ def groundstate(
     if isinstance(potential, PotentialParams) and not (potential.g > 0):
         raise ValueError(f"groundstate requires g > 0 for confinement, got g={potential.g}")
     v_at, ndim = _resolve_potential(potential, n_dim)
+    levels = _ladder(n_points)
     if r_max is None:
         if not isinstance(potential, PotentialParams):
             raise ValueError("a callable potential needs an explicit r_max")
@@ -255,7 +278,7 @@ def groundstate(
     raw = []
     energies = []
     hints = ()
-    for n in _LADDER if n_points is None else (n_points, 2 * n_points):
+    for n in levels:
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
         # a hint only shortens the bisection (see _kernels.smallest_eigenvalue)
         raw.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints)))
@@ -268,9 +291,10 @@ def groundstate(
                     f"10% of scale {scale:.3g}: grid too coarse"
                 )
             energies.append((4.0 * e_fine - e_coarse) / 3.0)
-            error_estimate = abs(energies[-1] - energies[-2]) / 15.0 if len(energies) > 1 else None
-            if error_estimate is not None and error_estimate <= target:
-                break
+            if len(energies) > 1:
+                error_estimate = abs(energies[-1] - energies[-2]) / 15.0
+                if error_estimate <= target:
+                    break
             # the raw error falls 4x per halving of dr, so the next level's
             # eigenvalue sits near E + (e_coarse - e_fine) / 12
             estimate = energies[-1] + (e_coarse - e_fine) / 12.0
@@ -321,7 +345,9 @@ class VerificationReport:
     failures: tuple[str, ...]
 
 
-def verify_solution(sol: ZeroModeSolution, *, r_max: float = None, n_points: int = None) -> VerificationReport:
+def verify_solution(
+    sol: ZeroModeSolution, *, r_max: float = None, n_points: int = DEFAULT_GRID_POINTS
+) -> VerificationReport:
     """Check a claimed zero-energy solution against the numerical oracle.
 
     Compares the oracle groundstate energy of sol.potential with the
@@ -329,10 +355,11 @@ def verify_solution(sol: ZeroModeSolution, *, r_max: float = None, n_points: int
     psi = exp(-S0), scaled to peak 1 on the grid, under the r^(N-1)
     weight (cosine similarity).  The constraint residuals and the max
     pointwise Riccati residual on a log-spaced radius grid are included
-    as diagnostics.  r_max and n_points go to groundstate: None takes
-    the domain from the potential's length scale and lets the grid
-    ladder pick the grid from its accuracy target; an explicit n_points
-    solves on n_points and 2*n_points cells.
+    as diagnostics.  r_max and n_points go to groundstate: r_max=None
+    takes the domain from the potential's length scale, and n_points
+    caps the grid ladder, which picks the grid from its accuracy target.
+    The energy is compared only when the oracle's own error estimate is
+    below the tolerance; otherwise the check reads oracle_unresolved.
     """
     p = sol.potential
     split = trial_split(p, sol.trial)
@@ -356,7 +383,7 @@ def verify_solution(sol: ZeroModeSolution, *, r_max: float = None, n_points: int
 
     failures = []
     energy_error = abs(result.energy - split.e0)
-    if result.error_estimate is not None and not (result.error_estimate < TOL_ENERGY):
+    if not (result.error_estimate < TOL_ENERGY):
         failures.append("oracle_unresolved")
     elif not (energy_error < TOL_ENERGY):
         failures.append("oracle_energy_vs_e0")

@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, output formats, dataset determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -342,7 +343,7 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("ignore::sombrero.GridExtentWarning")
     def test_oracle_failure_exits_1(self, capsys):
-        code, out, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "20", "--rmax", "0.5"], capsys)
+        code, out, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "64", "--rmax", "0.5"], capsys)
         assert code == 1
         assert out == ""
         assert "grid too coarse" in err
@@ -368,7 +369,48 @@ class TestVerify:
     def test_small_grid_exits_2(self, capsys):
         code, _, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "8"], capsys)
         assert code == 2
-        assert "16" in err
+        assert "64" in err
+
+    def test_coarse_grid_is_unresolved_not_a_wrong_claim(self, capsys):
+        # the worked case is a true claim; capped at 64 or 128 cells the
+        # oracle's own error estimate is above the tolerance, so the
+        # energy comparison is not made (|E| = 2.6e-5 and 1.6e-6), and
+        # from 256 cells on it passes
+        for grid in ("64", "128"):
+            code, out, _ = run_cli(["verify", *WORKED_FLAGS, "--grid", grid, "--format", "json"], capsys)
+            assert code == 1
+            failures = json.loads(out)["verification"]["failures"]
+            assert "oracle_unresolved" in failures
+            assert "oracle_energy_vs_e0" not in failures
+        code, out, _ = run_cli(["verify", *WORKED_FLAGS, "--grid", "256", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["verification"]["verdict"] == "PASS"
+        # a cap that gives no three-level ladder is a usage error
+        for grid in ("16", "20", "62", "66"):
+            code, out, err = run_cli(["verify", *WORKED_FLAGS, "--grid", grid], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines()[-1].endswith(f"argument --grid: must be a multiple of 4 and >= 64, got {grid}")
+            assert "Traceback" not in err
+
+    def test_grid_flag_accepts_exactly_the_ladder_caps(self):
+        # every --grid from 16 to 8000 is either a cap groundstate accepts
+        # or a usage error, never an error from inside the oracle
+        for n in range(16, 8001):
+            try:
+                levels = sombrero.eigensolver._ladder(n)
+            except ValueError:
+                levels = None
+            try:
+                cli._GRID(str(n))
+                accepted = True
+            except argparse.ArgumentTypeError:
+                accepted = False
+            assert accepted == (levels is not None), n
+            if levels is not None:
+                assert levels[-1] == n and len(levels) >= 3
+                assert all(fine == 2 * coarse for coarse, fine in zip(levels, levels[1:]))
+                assert levels[0] >= sombrero.eigensolver.MIN_GRID_POINTS
 
 
 class TestPlotData:
@@ -485,7 +527,7 @@ class TestEntrypoint:
         assert "sombrero" in proc.stdout
 
     def test_warning_prints_as_one_line(self):
-        proc = run_module(["verify", *WORKED_FLAGS, "--grid", "20", "--rmax", "0.5"])
+        proc = run_module(["verify", *WORKED_FLAGS, "--grid", "64", "--rmax", "0.5"])
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 2
