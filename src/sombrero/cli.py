@@ -2,18 +2,19 @@
 
 Subcommands: derive, from-lambda, scan-lambda, jackiw, eta-mu, verify,
 plot-data.  Exit codes follow one contract everywhere: 0 success/pass,
-1 domain outcome (no root, verification failed), 2 usage error (a flag
-outside its range, which each flag's argparse type checks, non-finite
-numbers included, or values the library cannot represent).  Output
-is a human-readable table by default or a JSON document with --format
-json; dataset commands write two-column CSV (header row, LF endings,
-9-significant-digit floats, empty field where a value is missing), byte
-identical for identical flags.
+1 domain outcome (no root, verification failed, stdout closed early),
+2 usage error (a flag outside its range, which each flag's argparse
+type checks, non-finite numbers included, or values the library cannot
+represent).  Output is a human-readable table by default or a JSON
+document with --format json; dataset commands write two-column CSV
+(header row, LF endings, 9-significant-digit floats, empty field where
+a value is missing), byte identical for identical flags.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -369,7 +370,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout closed early, as by `| head`; devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except NoRootError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1

@@ -36,20 +36,21 @@ MIN_GRID_POINTS = 16
 # decay exponent of psi, in WKB terms, between the outermost turning
 # point of the energy bound and the automatic domain's outer wall
 _WKB_REACH = 40.0
-# half-width, in units of the energy scale, of the pair of points around
-# an eigenvalue estimate from which a bisection's secant aim starts
-_HINT_WIDTH = 1e-6
-# grid ladder: the default finest grid, the fewest cells a level below
-# the third-finest may have, and the error target of the extrapolated
-# energy, in units of 1/r_max^2
-DEFAULT_GRID_POINTS = 8000
-_LADDER_FLOOR = 250
-_LADDER_TARGET = 1e-8
-# verify_solution passes a claim when the oracle's error estimate and
-# |E - e0| are below TOL_ENERGY and the cosine similarity of the
-# vectors exceeds 1 - TOL_SIMILARITY
+# every energy threshold is a multiple of the unit 1/r_max^2, which
+# scales like the energy under r -> s r: verify_solution passes a claim
+# when the oracle's error estimate and |E - e0| are below TOL_ENERGY
+# units and the cosine similarity of the vectors exceeds 1 - TOL_SIMILARITY
 TOL_ENERGY = 1e-6
 TOL_SIMILARITY = 1e-6
+# grid ladder: the default finest grid, the fewest cells a level below
+# the third-finest may have, and the extrapolated energy's error target
+# in units; each level's bisection stops at 1/100 of the target
+DEFAULT_GRID_POINTS = 8000
+_LADDER_FLOOR = 250
+_LADDER_TARGET = TOL_ENERGY / 100
+# half-width, in units, of the pair of points around an eigenvalue
+# estimate from which a bisection's secant aim starts
+_HINT_WIDTH = 1e-4
 
 
 class GridExtentWarning(UserWarning):
@@ -168,12 +169,6 @@ def _require_finite(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return v
 
 
-def _energy_scale(v_at, r_max: float) -> float:
-    v0 = float(np.asarray(v_at(np.array([0.0])))[0])
-    v_edge = float(np.asarray(v_at(np.array([r_max])))[0])
-    return max(1.0, abs(v0), abs(v_edge) ** (1.0 / 3.0))
-
-
 def _ladder(n_points: int) -> tuple[int, ...]:
     """Cells per grid-ladder level, coarsest first, with n_points the finest.
 
@@ -243,15 +238,15 @@ def groundstate(
     predict.  The ladder stops at the first level from the third on
     where the extrapolated error estimate |E_k - E_(k-1)| / 15 is at
     most 1e-8 / r_max^2, or at n_points cells, whatever the estimate
-    there; the target scales like the energy under r -> s r, so a
-    rescaled potential stops at the same level; that estimate for the
-    last level comes back as error_estimate.  The energy,
-    richardson_pair and vector all come from the last pair of levels;
-    the vector is one twisted factorization
+    there; each bisection stops within 1e-10 / r_max^2.  Both scale like
+    the energy under r -> s r, so a rescaled potential takes the same
+    steps.  The last level's estimate comes back as error_estimate.  The
+    energy, richardson_pair and vector all come from the last pair of
+    levels; the vector is one twisted factorization
     (_kernels.eigenvector) at the finest grid's eigenvalue.  Raises
     ValueError unless n_points is a multiple of 4 and at least 64, and
     RuntimeError when two consecutive raw eigenvalues disagree by more
-    than a tenth of the energy scale (grid too coarse), and when the
+    than 1/dr^2 of the coarser grid (grid too coarse), and when the
     vector is not finite or changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
@@ -272,9 +267,9 @@ def groundstate(
         r_max = _domain_radius(potential)
     r_max = float(r_max)
 
-    scale = _energy_scale(v_at, r_max)
-    bisect_tol = 1e-12 * scale
-    target = _LADDER_TARGET / r_max**2
+    unit = 1.0 / r_max**2
+    target = _LADDER_TARGET * unit
+    bisect_tol = target / 100.0
     raw = []
     energies = []
     hints = ()
@@ -285,10 +280,11 @@ def groundstate(
         estimate = raw[-1]
         if len(raw) > 1:
             e_coarse, e_fine = raw[-2:]
-            if abs(e_coarse - e_fine) > 0.1 * scale:
+            coarse_kinetic = (n / 2.0 / r_max) ** 2
+            if abs(e_coarse - e_fine) > coarse_kinetic:
                 raise RuntimeError(
                     f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
-                    f"10% of scale {scale:.3g}: grid too coarse"
+                    f"the coarser grid's 1/dr^2 = {coarse_kinetic:.3g}: grid too coarse"
                 )
             energies.append((4.0 * e_fine - e_coarse) / 3.0)
             if len(energies) > 1:
@@ -298,7 +294,7 @@ def groundstate(
             # the raw error falls 4x per halving of dr, so the next level's
             # eigenvalue sits near E + (e_coarse - e_fine) / 12
             estimate = energies[-1] + (e_coarse - e_fine) / 12.0
-        hints = (estimate - _HINT_WIDTH * scale, estimate + _HINT_WIDTH * scale)
+        hints = (estimate - _HINT_WIDTH * unit, estimate + _HINT_WIDTH * unit)
 
     # op is the finest grid's operator, the last one the loop built
     vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)
@@ -359,7 +355,7 @@ def verify_solution(
     takes the domain from the potential's length scale, and n_points
     caps the grid ladder, which picks the grid from its accuracy target.
     The energy is compared only when the oracle's own error estimate is
-    below the tolerance; otherwise the check reads oracle_unresolved.
+    below TOL_ENERGY / r_max^2; otherwise the check reads oracle_unresolved.
     """
     p = sol.potential
     split = trial_split(p, sol.trial)
@@ -377,15 +373,16 @@ def verify_solution(
     psi_norm = math.sqrt(float(np.sum(psi * psi * weight) * dr))
     similarity = float(np.sum(psi * result.vector * weight) * dr / psi_norm)
 
-    radii = np.geomspace(1e-3, min(result.grid.r_max, 20.0), 60)
+    unit = 1.0 / result.grid.r_max**2
+    radii = np.geomspace(1e-3 * result.grid.r_max, result.grid.r_max, 60)
     residual = np.asarray(schrodinger_residual(w, split.e0, radii))
-    max_residual = float(np.max(np.abs(residual) / _residual_scale(w, split.e0, radii)))
+    max_residual = float(np.max(np.abs(residual) / _residual_scale(w, split.e0, radii, unit)))
 
     failures = []
     energy_error = abs(result.energy - split.e0)
-    if not (result.error_estimate < TOL_ENERGY):
+    if not (result.error_estimate < TOL_ENERGY * unit):
         failures.append("oracle_unresolved")
-    elif not (energy_error < TOL_ENERGY):
+    elif not (energy_error < TOL_ENERGY * unit):
         failures.append("oracle_energy_vs_e0")
     if not (similarity > 1.0 - TOL_SIMILARITY):
         failures.append("eigenvector_similarity")
@@ -407,8 +404,8 @@ def verify_solution(
     )
 
 
-def _residual_scale(w: TrialWavefunction, e: float, radii: np.ndarray) -> np.ndarray:
-    """Magnitude of the residual's constituent terms, for relative error."""
+def _residual_scale(w: TrialWavefunction, e: float, radii: np.ndarray, unit: float) -> np.ndarray:
+    """Magnitude of the residual's constituent terms, floored at unit, for relative error."""
     d1, d2 = derivatives_s0(w, radii)
     n = w.potential.n_dim
     v = eval_potential(w.potential, radii)
@@ -418,4 +415,4 @@ def _residual_scale(w: TrialWavefunction, e: float, radii: np.ndarray) -> np.nda
         + np.abs(d2)
         + 2.0 * np.abs(v - e)
     )
-    return np.maximum(1.0, total)
+    return np.maximum(unit, total)

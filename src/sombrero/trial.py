@@ -97,18 +97,12 @@ def zero_energy_residual(p: PotentialParams) -> float:
 
 def _m_zero_scale(p: PotentialParams) -> float:
     diff = p.alpha - p.bigA
-    return max(
-        1.0,
-        abs(p.g * (p.beta - p.alpha * p.bigA))
-        + 0.25 * p.g * diff * diff
-        + p.n_dim
-        + 2.0,
-    )
+    return abs(p.g * (p.beta - p.alpha * p.bigA)) + 0.25 * p.g * diff * diff + p.n_dim + 2.0
 
 
 def _zero_energy_scale(p: PotentialParams) -> float:
     c = (p.alpha - p.bigA) * p.g / 4.0
-    return max(1.0, abs(0.5 * p.bigA * p.g**2 * p.beta) + abs(p.n_dim * c))
+    return abs(0.5 * p.bigA * p.g**2 * p.beta) + abs(p.n_dim * c)
 
 
 def satisfies_m_zero(p: PotentialParams, rtol: float = 1e-10) -> bool:
