@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -455,6 +456,55 @@ class TestPlotData:
             capsys,
         )
         assert code == 2
+
+
+# sha256 of dataset files, recorded before the scan-lambda root finder was
+# vectorized and the two CSV writers merged; a moved byte fails here.
+PINNED_DATASETS = {
+    "scan_N1": (["scan-lambda", "--N", "1", "--from", "1.01", "--to", "10", "--steps", "2000"],
+                "25927049ef8b9038843724db78adce47f785ab447307a3d126f7962425d7d3a2"),
+    "scan_N3": (["scan-lambda", "--N", "3", "--from", "1.01", "--to", "10", "--steps", "2000"],
+                "db2d3db4d8ce8104ecfd9b966fb822624b1d71c33010f0d47eb2d20572433df9"),
+    "scan_N9": (["scan-lambda", "--N", "9", "--from", "1.01", "--to", "10", "--steps", "2000"],
+                "a3a5411f274fb054723418258f961897725f8c310871fae534a8e55c44ecf46f"),
+    "scan_near_one_N1": (["scan-lambda", "--N", "1", "--from", "1.0000000000000002", "--to", "1.000001",
+                          "--steps", "500"],
+                         "9cb3578b9f236290d1b63a1a2d037cb914fd922990b28942fcc1706a69f72138"),
+    "scan_near_one_N3": (["scan-lambda", "--N", "3", "--from", "1.0000000000000002", "--to", "1.000001",
+                          "--steps", "500"],
+                         "e6a33e9c9f0d9adbfec5539e8fc298f97b0c2a9bd86c1d5f871b31a4d0180c4a"),
+    "scan_near_one_N9": (["scan-lambda", "--N", "9", "--from", "1.0000000000000002", "--to", "1.000001",
+                          "--steps", "500"],
+                         "41e35f825e8495953dc790d0c35202a6513b529d2d3e26644ccee047f064e2f8"),
+    "scan_wide_N1": (["scan-lambda", "--N", "1", "--from", "1.5", "--to", "1e6", "--steps", "300"],
+                     "bf7542118689be99e164fed85a2ab52b72d10f36deac1066de3b0be8d1a60529"),
+    "scan_wide_N3": (["scan-lambda", "--N", "3", "--from", "1.5", "--to", "1e6", "--steps", "300"],
+                     "0297eb06fadf4e28b39879210cba495d40de88f2ea7a6a33a965c40596d4214f"),
+    "scan_wide_N9": (["scan-lambda", "--N", "9", "--from", "1.5", "--to", "1e6", "--steps", "300"],
+                     "fead4f385e403ca7dd2357dc196732c8ba943982d4338a64e9c52a40b85f587e"),
+    "potential_worked": (["plot-data", "--what", "potential", *WORKED_FLAGS,
+                          "--r-from", "0", "--r-to", "3", "--steps", "600"],
+                         "c548f92f872f95d93efe8c608d0416e7c6a89cf0527d5b2706a6b1e1db39e9d8"),
+    "wavefunction_worked": (["plot-data", "--what", "wavefunction", *WORKED_FLAGS,
+                             "--r-from", "0", "--r-to", "3", "--steps", "600"],
+                            "96d8717df42a7fac56d3640a0b3b139310bd351fc3a13b517a64052d22f3b40b"),
+    "potential_weak_g": (["plot-data", "--what", "potential", *WORKED_FLAGS, "--g", "0.01",
+                          "--r-from", "0", "--r-to", "3", "--steps", "600"],
+                         "af2cfd2732d4fb1457fc0b24c4b5620d8778e789848ade58adcf555800009d03"),
+    "wavefunction_weak_g": (["plot-data", "--what", "wavefunction", *WORKED_FLAGS, "--g", "0.01",
+                             "--r-from", "0", "--r-to", "3", "--steps", "600"],
+                            "0a256d9d234d551d96487fea097b714ba43880c5f6625421680ae0a3166fca86"),
+}
+
+
+class TestPinnedDatasets:
+    @pytest.mark.parametrize("name", list(PINNED_DATASETS))
+    def test_bytes_are_pinned(self, name, tmp_path, capsys):
+        argv, digest = PINNED_DATASETS[name]
+        out_path = tmp_path / "pinned.csv"
+        code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 class TestFlagTypes:
