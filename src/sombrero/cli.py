@@ -4,11 +4,13 @@ Subcommands: derive, from-lambda, scan-lambda, jackiw, eta-mu, verify,
 plot-data.  Exit codes follow one contract everywhere: 0 success/pass,
 1 domain outcome (no root, verification failed, stdout closed early),
 2 usage error (a flag outside its range, which each flag's argparse
-type checks, non-finite numbers included, or values the library cannot
-represent).  Output is a human-readable table by default or a JSON
-document with --format json; dataset commands write two-column CSV
-(header row, LF endings, 9-significant-digit floats, empty field where
-a value is missing), byte identical for identical flags.
+type checks, non-finite numbers included, values the library cannot
+represent, or a --steps too large to hold in memory).  Output is a
+human-readable table by default or a JSON document with --format json;
+dataset commands write two-column CSV (header row, LF endings,
+9-significant-digit floats, empty field where a value is missing), byte
+identical for identical flags.  They compute every value before they
+open --out, so a command that exits 2 writes no dataset file.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from .potential import PotentialParams, eval_potential
 from .solvers import (
     NoRootError,
     ZeroModeSolution,
+    _solve_eta_grid,
     jackiw_solutions,
     params_from_lambda,
     solve_eta,
@@ -106,6 +109,25 @@ def _render(summary: dict, fmt: str) -> str:
 
     walk("", summary)
     return "\n".join(lines)
+
+
+# rows per write of _write_csv, so the text it holds stays small for any --steps
+_CSV_ROWS = 4096
+
+
+def _write_csv(path, header, x, y, blank_nan=False) -> None:
+    """Write two float columns under a header row: 9 significant digits, LF endings.
+
+    A NaN in y is written as an empty field with blank_nan, else as nan;
+    infinities as inf and -inf.  The caller computes every value before
+    this opens the file, so a usage error leaves no partial dataset.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header}\n")
+        for start in range(0, len(x), _CSV_ROWS):
+            rows = np.column_stack((x[start : start + _CSV_ROWS], y[start : start + _CSV_ROWS]))
+            text = ("{:.9g},{:.9g}\n" * len(rows)).format(*rows.ravel().tolist())
+            fh.write(text.replace(",nan\n", ",\n") if blank_nan else text)
 
 
 def _emit(summary: dict, fmt: str) -> None:
@@ -200,12 +222,7 @@ def cmd_from_lambda(args) -> int:
 def cmd_scan_lambda(args) -> int:
     _require(args.from_ < args.to, f"need --from < --to, got {args.from_} >= {args.to}")
     lams = np.linspace(args.from_, args.to, args.steps)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda,eta\n")
-        for lam in lams:
-            roots = solve_eta(float(lam), args.N)
-            eta_field = _fmt(roots[0]) if roots else ""
-            fh.write(f"{_fmt(float(lam))},{eta_field}\n")
+    _write_csv(args.out, "lambda,eta", lams, _solve_eta_grid(lams, args.N), blank_nan=True)
     return 0
 
 
@@ -272,10 +289,7 @@ def cmd_plot_data(args) -> int:
         w = TrialWavefunction.from_potential(p)
         peak = maxima_radius(w)
         values = np.asarray(eval_psi(w, radii)) / eval_psi(w, peak.radius)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r,value\n")
-        for r, y in zip(radii, values):
-            fh.write(f"{_fmt(float(r))},{_fmt(float(y))}\n")
+    _write_csv(args.out, "r,value", radii, values)
     return 0
 
 
@@ -389,6 +403,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:  # flags so extreme that float arithmetic overflows
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a --steps too large for the arrays it asks for
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

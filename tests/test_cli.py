@@ -224,6 +224,35 @@ class TestScanLambda:
         assert code == 2
         assert err
 
+    def test_usage_error_writes_no_file(self, tmp_path, capsys):
+        # at N = 9 the eta cubic of lambda = 2.5e307 overflows; every lambda
+        # is solved before the file is opened
+        out_path = tmp_path / "x.csv"
+        argv = ["scan-lambda", "--N", "9", "--from", "1.5", "--to", "1e308", "--steps", "5", "--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cubic coefficients must be finite with a finite sum, got (inf, inf, -inf, -inf)\n"
+        assert not out_path.exists()
+        out_path.write_bytes(b"an earlier file\n")
+        assert run_cli(argv, capsys)[0] == 2
+        assert out_path.read_bytes() == b"an earlier file\n"
+
+    def test_lambda_without_a_root_is_an_empty_field(self, tmp_path, monkeypatch, capsys):
+        # every lambda > 1 has a root, so the grid finder is made to miss two
+        def missing_two(lams, n_dim):
+            etas = np.full(len(lams), 0.25)
+            etas[[0, 2]] = np.nan
+            return etas
+
+        monkeypatch.setattr(cli, "_solve_eta_grid", missing_two)
+        out_path = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            ["scan-lambda", "--N", "3", "--from", "1.5", "--to", "2.5", "--steps", "3", "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == "lambda,eta\n1.5,\n2,0.25\n2.5,\n"
+
 
 class TestJackiw:
     def test_three_dimensional_branches(self, capsys):
@@ -458,8 +487,8 @@ class TestPlotData:
         assert code == 2
 
 
-# sha256 of dataset files, recorded before the scan-lambda root finder was
-# vectorized and the two CSV writers merged; a moved byte fails here.
+# sha256 of dataset files over wide lambda ranges, near lambda = 1 and at a
+# weak coupling; a moved byte in either dataset command fails here.
 PINNED_DATASETS = {
     "scan_N1": (["scan-lambda", "--N", "1", "--from", "1.01", "--to", "10", "--steps", "2000"],
                 "25927049ef8b9038843724db78adce47f785ab447307a3d126f7962425d7d3a2"),
@@ -505,6 +534,44 @@ class TestPinnedDatasets:
         code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+class TestDatasetWriter:
+    def test_same_bytes_as_one_row_at_a_time(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # several writes, the last one short
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=40) * 10.0 ** rng.integers(-320, 300, size=40)
+        y = np.concatenate([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 1.0 / 3.0], rng.normal(size=32)])
+        expected = "r,value\n" + "".join(f"{float(a):.9g},{float(b):.9g}\n" for a, b in zip(x, y))
+        cli._write_csv(tmp_path / "x.csv", "r,value", x, y)
+        assert (tmp_path / "x.csv").read_bytes() == expected.encode("utf-8")
+        cli._write_csv(tmp_path / "blank.csv", "r,value", x, y, blank_nan=True)
+        lines = (tmp_path / "blank.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == f"{x[0]:.9g},"
+        assert lines[2:5] == [f"{x[1]:.9g},inf", f"{x[2]:.9g},-inf", f"{x[3]:.9g},-0"]
+
+    @pytest.mark.parametrize("command", ["scan-lambda", "plot-data"])
+    @pytest.mark.parametrize(
+        "raised, printed",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"),
+             "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_oversized_steps_is_a_usage_error(self, command, raised, printed, tmp_path, monkeypatch, capsys):
+        # numpy's refusal to allocate is raised without allocating anything
+        def refuse(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(argv_for(command, {**VALID[command], "--steps": "1000000000000"}, out_path), capsys)
+        assert code == 2
+        assert out == ""
+        assert err == printed
+        assert not out_path.exists()
 
 
 class TestFlagTypes:

@@ -146,6 +146,99 @@ class TestSolveEta:
         assert np.all(np.diff(etas) > 0.0)
 
 
+def first_roots(coefficients):
+    """The scalar finder's first root of each cubic, NaN where it has none."""
+    firsts = []
+    for cubic in zip(*coefficients):
+        roots = solvers._cubic_roots_in_unit_interval(tuple(map(float, cubic)))
+        firsts.append(roots[0] if roots else math.nan)
+    return np.array(firsts)
+
+
+def first_etas(lams, n_dim):
+    """solve_eta's first root at each lambda, NaN where it has none."""
+    return [next(iter(solve_eta(float(lam), n_dim)), math.nan) for lam in lams]
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+SPECIAL_CUBICS = [
+    ((1.0, 0.0, -0.75, 0.25), 0.5),  # (x - 1/2)^2 (x + 1): an exact zero at a critical point
+    ((-2.0, 0.0, 1.5, -0.5), 0.5),  # the same times -2
+    ((1.0, -1.5, 0.75, -0.125), 0.5),  # (x - 1/2)^3: one double critical point, a zero
+    ((1.0, 0.0, 0.0, -0.125), 0.5),  # x^3 - 1/8: the critical points' q is 0
+    ((1.0, -0.25, 1.0, -0.25), 0.25),  # (x - 1/4)(x^2 + 1): the second midpoint is an exact zero
+    ((0.0, 0.0, 2.0, -1.0), 0.5),  # linear
+    ((0.0, 1.0, 0.0, -0.25), 0.5),  # quadratic
+    ((1.0, -1.5, 0.6875, -0.09375), 0.25),  # (x - 1/4)(x - 1/2)(x - 3/4): the first of three
+    ((1.0, 0.0, 0.0, 1.0), math.nan),  # no root
+    ((0.0, 1.0, -1.0, 0.0), math.nan),  # roots at 0 and 1 only
+    ((0.0, 0.0, 1.0, -2.0), math.nan),  # a linear root outside
+]
+
+
+class TestGridMatchesScalar:
+    """The numpy finder behind scan-lambda returns the scalar finder's first root, bit for bit."""
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 9, 27, 100])
+    def test_eta_sweeps(self, n_dim):
+        lams = np.concatenate([
+            1.0 + np.logspace(-16, 1, 300),
+            np.linspace(1.01, 10.0, 200),
+            np.linspace(1.5, 1e6, 100),
+            [1.0 + 2.0**-52, 1e300],
+        ])
+        assert same_bits(solvers._solve_eta_grid(lams, n_dim), first_etas(lams, n_dim))
+
+    def test_grid_longer_than_one_block(self):
+        lams = np.linspace(1.0 + 1e-9, 50.0, 2 * solvers._BLOCK + 3)
+        assert same_bits(solvers._solve_eta_grid(lams, 3), first_etas(lams, 3))
+
+    def test_random_cubics(self):
+        rng = np.random.default_rng(3)
+        size = 3000
+        generic = [rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size) for _ in range(4)]
+        # monic cubics with all three roots near [0, 1], often two or three inside
+        r1, r2, r3 = rng.uniform(-0.5, 1.5, size=(3, size))
+        monic = [np.ones(size), -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3]
+        coefficients = [np.concatenate(pair) for pair in zip(generic, monic)]
+        expected = first_roots(coefficients)
+        assert 0 < np.isnan(expected).sum() < 2 * size
+        assert same_bits(solvers._first_roots_in_unit_interval(coefficients), expected)
+
+    @pytest.mark.parametrize("cubic, root", SPECIAL_CUBICS)
+    def test_special_cubics(self, cubic, root):
+        alone = solvers._first_roots_in_unit_interval([[c] for c in cubic])
+        assert same_bits(alone, first_roots([[c] for c in cubic]))
+        assert alone[0] == root or math.isnan(root) and math.isnan(alone[0])
+
+    def test_special_cubics_in_one_batch(self):
+        coefficients = np.array([cubic for cubic, _ in SPECIAL_CUBICS]).T
+        assert same_bits(solvers._first_roots_in_unit_interval(coefficients), first_roots(coefficients))
+
+    def test_nonfinite_coefficients_raise_the_scalar_text(self):
+        with pytest.raises(ValueError) as scalar:
+            solvers._cubic_roots_in_unit_interval((math.inf, 1.0, -1.0, -1.0))
+        coefficients = [[1.0, math.inf, 1e308], [1.0, 1.0, 1e308], [-1.0, -1.0, -1e308], [-1.0, -1.0, math.nan]]
+        with pytest.raises(ValueError) as batch:
+            solvers._first_roots_in_unit_interval(coefficients)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_grid_names_the_first_lambda_whose_sum_overflows(self):
+        # at N = 9, lambda = 5e306 has finite coefficients whose sum overflows,
+        # and lambda = 1e308 infinite ones; solve_eta names the first
+        lams = [1.5, 5e306, 1e308]
+        with pytest.raises(ValueError) as scalar:
+            for lam in lams:
+                solve_eta(lam, 9)
+        with pytest.raises(ValueError) as grid:
+            solvers._solve_eta_grid(lams, 9)
+        assert str(grid.value) == str(scalar.value)
+        assert "inf" not in str(grid.value)
+
+
 class TestParamsFromLambda:
     def test_reference_reconstruction(self):
         sol = params_from_lambda(1.5, 1.5, 1.0 / 3.0, 3)
