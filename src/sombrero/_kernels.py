@@ -14,12 +14,14 @@ are reproducible bit for bit.
 
 The bisection is aimed by the twisted factorization too: secant steps
 on the gap gamma_k(x) of T - x*I at one fixed index k, which vanishes
-at the eigenvalue, give an estimate within a few abs_tol of it, and
-probes just either side of that estimate answer the questions the
-bisection will ask near the end.  A probe's answer is monotone in the
-probe point, so a known answer only lets the bisection skip a probe;
-the bisection's own sequence of brackets, and so its result, stays bit
-for bit the one without the estimate (see smallest_eigenvalue).
+at the eigenvalue, give an estimate within a few abs_tol of it.  The
+bisection's own halvings are then replayed as if the eigenvalue sat at
+that estimate, and probes at both ends of the bracket the replay ends
+in answer every question the bisection will ask from there on.  A
+probe's answer is monotone in the probe point, so a known answer only
+lets the bisection skip a probe; the bisection's own sequence of
+brackets, and so its result, stays bit for bit the one without the
+estimate (see smallest_eigenvalue).
 """
 
 import math
@@ -34,9 +36,9 @@ _SAFMIN = 2.2250738585072014e-308
 # Aiming the bisection (see smallest_eigenvalue): a cold call aims once
 # its bracket is narrower than _AIM_START * abs_tol; the secant takes at
 # most _AIM_STEPS steps and stops at a step within _AIM_WIDTHS[0] *
-# abs_tol; its estimate is then probed each of _AIM_WIDTHS * abs_tol
-# either side, nearest first, until one pair of probes brackets the
-# eigenvalue.
+# abs_tol; after the ends of the replayed final brackets, its estimate
+# is probed each of _AIM_WIDTHS * abs_tol either side, nearest first,
+# until one pair of probes brackets the eigenvalue.
 _AIM_START = 2.0**30
 _AIM_STEPS = 5
 _AIM_WIDTHS = (4.0, 64.0, 1024.0)
@@ -47,17 +49,21 @@ def _max_skipping_nan(a, initial=0.0) -> float:
     return float(np.fmax.reduce(a, initial=initial))
 
 
-def _gershgorin_end(ends, argbest) -> float:
+def _gershgorin_end(ends, argbest, nanargbest) -> float:
     """What a running `if x < best` (or `>`) loop over ends keeps.
 
     It starts from ends[0], which stays if it is NaN; otherwise later NaNs
     never compare true, and ties keep the first value (so the sign of a
-    zero end is the loop's too).
+    zero end is the loop's too).  argbest (np.argmin or np.argmax) stops
+    at the first NaN, so only a NaN pick needs nanargbest's slower pass.
     """
     first = ends[0]
     if math.isnan(first):
         return float(first)
-    return float(ends[argbest(ends)])
+    best = ends[argbest(ends)]
+    if math.isnan(best):
+        best = ends[nanargbest(ends)]
+    return float(best)
 
 
 def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
@@ -78,11 +84,11 @@ def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
 
 def _last_pivot(x, d, e2, pivmin) -> float:
     """Last pivot of the walk _pivots makes over d - x, floored the same way."""
-    q = 1.0
+    q, floor = 1.0, -pivmin
     for di, e2i in zip(d, chain((0.0,), e2)):
         q = di - x - e2i / q
-        if -pivmin < q < pivmin:
-            q = -pivmin
+        if floor < q < pivmin:
+            q = floor
     return q
 
 
@@ -124,6 +130,21 @@ def _secant_root(f, x0, x1, abs_tol) -> float:
     return x1
 
 
+def _final_bracket(lo, hi, x, abs_tol):
+    """The (lo, hi) the bisection in smallest_eigenvalue ends in when every
+    probe at or above x answers yes: its halvings and stop rules, replayed
+    without a probe."""
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid >= x:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def smallest_eigenvalue(d, e, abs_tol, hints=()):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
@@ -145,12 +166,18 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     _twisted_gap; each step costs about one probe) estimate the
     eigenvalue; they start from the outermost two hints, or in a call
     with fewer hints from the bisection's own (lo, hi) once it is
-    narrower than _AIM_START * abs_tol.  Then the points estimate +- w *
-    abs_tol for each w in _AIM_WIDTHS, and after them the hints, are
-    probed, each only while its answer is not yet known.  hints are
-    typically just below and just above an estimate of the eigenvalue;
-    non-finite hints are dropped.  The estimate and the hints change how
-    long the bisection takes, never its result.  The computed answer is
+    narrower than _AIM_START * abs_tol.  From the current (lo, hi), the
+    bisection's own halvings are replayed as if the eigenvalue sat at the
+    estimate (_final_bracket), and both ends of the bracket that replay
+    ends in are probed first: when they answer no and yes, every later
+    mid lies at or beyond one of them and needs no probe.  Next come the
+    outer ends of the brackets the replay ends in for estimate - abs_tol
+    and estimate + abs_tol, then the points estimate +- w * abs_tol for
+    each w in _AIM_WIDTHS, and then the hints, each probed only while its
+    answer is not yet known.  hints are typically just below and just
+    above an estimate of the eigenvalue; non-finite hints are dropped.
+    The estimate and the hints change how long the bisection takes, never
+    its result.  The computed answer is
     monotone in the probe point x when d and e*e are finite: for x <= x',
     fl(d_0 - x) >= fl(d_0 - x'), because round-to-nearest subtraction is
     monotone in each argument (overflow to infinity included).  If
@@ -177,8 +204,8 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     radius = np.zeros(n)
     radius[1:] = np.abs(e)
     radius[:-1] += np.abs(e)
-    lo = _gershgorin_end(d - radius, np.nanargmin)
-    hi = _gershgorin_end(d + radius, np.nanargmax)
+    lo = _gershgorin_end(d - radius, np.argmin, np.nanargmin)
+    hi = _gershgorin_end(d + radius, np.argmax, np.nanargmax)
 
     # memoryviews hand out one Python float at a time; a tolist() copy
     # iterates ~15% faster but holds n float objects per array
@@ -197,7 +224,12 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
             estimate = _secant_root(gap, *start, _AIM_WIDTHS[0] * abs_tol)
             points = []
             if math.isfinite(estimate):
-                points = [estimate + side * w * abs_tol for w in _AIM_WIDTHS for side in (-1.0, 1.0)]
+                points = [
+                    *_final_bracket(lo, hi, estimate, abs_tol),
+                    _final_bracket(lo, hi, estimate - abs_tol, abs_tol)[0],
+                    _final_bracket(lo, hi, estimate + abs_tol, abs_tol)[1],
+                    *(estimate + side * w * abs_tol for w in _AIM_WIDTHS for side in (-1.0, 1.0)),
+                ]
             for x in points + hints:
                 # only a point strictly between the known answers adds one
                 if known_no < x < known_yes:
@@ -222,16 +254,16 @@ def _pivots(shifted, e2, pivmin) -> np.ndarray:
     recurrence _pivot_below walks, but to the end, with each |q_i| <
     pivmin floored to -pivmin so that no pivot is an exact zero.
     """
-    out = np.empty(shifted.shape[0])
-    buf = memoryview(out)
+    out = []
+    append = out.append
     # q_0 = shifted_0 - 0 / 1 starts the recurrence with no special case
-    q = 1.0
-    for i, (si, e2i) in enumerate(zip(memoryview(shifted), chain((0.0,), memoryview(e2)))):
+    q, floor = 1.0, -pivmin
+    for si, e2i in zip(memoryview(shifted), chain((0.0,), memoryview(e2))):
         q = si - e2i / q
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        buf[i] = q
-    return out
+        if floor < q < pivmin:
+            q = floor
+        append(q)
+    return np.array(out, dtype=float)
 
 
 def eigenvector(d, e, sigma) -> np.ndarray:

@@ -452,7 +452,9 @@ class TestStages:
         # a count, not a timing: Sturm probes per ladder level.  Without
         # the secant aim the levels took 51 (cold, 250 cells), 45 (500
         # cells, where the hint from the 250-cell eigenvalue misses) and 25;
-        # with it, 27, 7 and 7
+        # probing just either side of the estimate, 27, 7 and 7 (35, 6, 6
+        # and 6 on r_max = 8 up to 2000 cells); probing the ends of the
+        # bracket the bisection will end in, 23, 2 and 3 (30, 2, 3 and 3)
         probes = []
         pivot_below, smallest_eigenvalue = _kernels._pivot_below, _kernels.smallest_eigenvalue
 
@@ -467,10 +469,10 @@ class TestStages:
         monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
         assert groundstate(worked_potential).grid.n_points == 1000
-        cold, *hinted = probes
-        assert len(hinted) == 2
-        assert cold <= 40
-        assert max(hinted) <= 12
+        assert probes == [23, 2, 3]
+        probes.clear()
+        assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 2000
+        assert probes == [30, 2, 3, 3]
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)

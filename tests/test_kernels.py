@@ -34,6 +34,21 @@ def dense_groundstate(d, e):
     return vals[0], vecs[:, 0]
 
 
+def loop_gershgorin_ends(d, e):
+    """Reference: the Gershgorin bracket (lo, hi) of (d, e), n >= 2."""
+    lo = d[0] - abs(e[0])
+    hi = d[0] + abs(e[0])
+    for i in range(1, d.shape[0]):
+        rad = abs(e[i - 1])
+        if i < d.shape[0] - 1:
+            rad += abs(e[i])
+        if d[i] - rad < lo:
+            lo = d[i] - rad
+        if d[i] + rad > hi:
+            hi = d[i] + rad
+    return lo, hi
+
+
 def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
     """Reference: Gershgorin bracket and full Sturm count at every probe.
 
@@ -47,16 +62,7 @@ def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
         if e2[i] > e2max:
             e2max = e2[i]
     pivmin = 2.2250738585072014e-308 * (e2max if e2max > 1.0 else 1.0)
-    lo = d[0] - abs(e[0])
-    hi = d[0] + abs(e[0])
-    for i in range(1, n):
-        rad = abs(e[i - 1])
-        if i < n - 1:
-            rad += abs(e[i])
-        if d[i] - rad < lo:
-            lo = d[i] - rad
-        if d[i] + rad > hi:
-            hi = d[i] + rad
+    lo, hi = loop_gershgorin_ends(d, e)
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -172,20 +178,27 @@ def _oscillator():
     return groundstate_bisections(lambda r: 0.5 * r * r, n_dim=1, r_max=12.0, n_points=2000)
 
 
+def random_matrices():
+    """(d, e, abs_tol) of 120 random matrices over six decades of scale,
+    every seventh split into blocks by zero off-diagonals."""
+    rng = np.random.default_rng(71)
+    for k in range(120):
+        n = int(rng.integers(1, 120))
+        d = rng.uniform(-5.0, 5.0, n) * 10 ** rng.uniform(-3, 3)
+        e = rng.uniform(-3.0, 3.0, n - 1) * 10 ** rng.uniform(-3, 3)
+        if k % 7 == 0:
+            e[rng.integers(0, max(n - 1, 1)):] = 0.0  # split into blocks
+        yield d, e, 10 ** rng.uniform(-14, -8)
+
+
 class TestMatchesLoopReference:
     """The bisection performs the loop version's IEEE-754 operations in
     the same order, so every result is identical to the last bit, whatever
     hints it is given."""
 
     def test_random_matrices(self):
-        rng = np.random.default_rng(71)
-        for k in range(120):
-            n = int(rng.integers(1, 120))
-            d = rng.uniform(-5.0, 5.0, n) * 10 ** rng.uniform(-3, 3)
-            e = rng.uniform(-3.0, 3.0, n - 1) * 10 ** rng.uniform(-3, 3)
-            if k % 7 == 0:
-                e[rng.integers(0, max(n - 1, 1)):] = 0.0  # split into blocks
-            assert_same_bits(d, e, 10 ** rng.uniform(-14, -8), hints_seed=k)
+        for k, (d, e, tol) in enumerate(random_matrices()):
+            assert_same_bits(d, e, tol, hints_seed=k)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 300])
     def test_degenerate_constant_matrix(self, n):
@@ -281,6 +294,161 @@ class TestMatchesLoopReference:
         with np.errstate(all="ignore"):
             got = _kernels.smallest_eigenvalue(d, e, tol, hints)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+class TestEstimateNeverChangesResult:
+    """Whatever the secant aim estimates, the bisection's result is the
+    loop version's to the last bit: the estimate only picks probe points."""
+
+    @staticmethod
+    def adversarial_estimates(d, e, tol, ref, visited):
+        lo, hi = loop_gershgorin_ends(d, e)
+        return [
+            ref,
+            float(np.nextafter(ref, -math.inf)),
+            float(np.nextafter(ref, math.inf)),
+            *(ref + side * w * tol for w in (0.5, 1.0, 1.5, 3.0) for side in (-1.0, 1.0)),
+            *((visited[len(visited) // 2], visited[-1]) if visited else ()),
+            float(lo),
+            float(hi),
+            -1e300,
+            1e300,
+            math.nan,
+        ]
+
+    def assert_same_bits(self, monkeypatch, d, e, tol, hints=()):
+        calls = []
+        visited = []
+        with np.errstate(all="ignore"):
+            ref = float(loop_smallest_eigenvalue(d, e, tol, visited))
+        estimates = self.adversarial_estimates(d, e, tol, ref, visited)
+        for estimate in estimates:
+            monkeypatch.setattr(_kernels, "_secant_root", lambda *args: calls.append(args) or estimate)
+            got = _kernels.smallest_eigenvalue(d, e, tol, hints)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d.size, estimate)
+        assert len(calls) == len(estimates)  # each call aimed once
+
+    @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
+                             ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
+    def test_oracle_bisections(self, solve, monkeypatch):
+        # every bisection of the solve, with the hints it was given
+        for d, e, tol, hints in solve():
+            self.assert_same_bits(monkeypatch, d, e, tol, hints)
+
+    def test_random_matrices(self, monkeypatch):
+        for d, e, tol in random_matrices():
+            if d.size > 1:  # a 1x1 matrix is its own eigenvalue
+                self.assert_same_bits(monkeypatch, d, e, tol)
+
+
+def loop_pivots(shifted, e2, pivmin):
+    """Reference: q_0 = shifted_0, q_i = shifted_i - e2_(i-1) / q_(i-1),
+    each |q_i| < pivmin floored to -pivmin, one index at a time."""
+    n = shifted.shape[0]
+    out = np.empty(n)
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            q = shifted[i] if i == 0 else shifted[i] - e2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            out[i] = q
+    return out
+
+
+def loop_last_pivot(x, d, e2, pivmin):
+    """Reference: the last pivot of the floored walk over d - x."""
+    with np.errstate(all="ignore"):
+        for i in range(d.shape[0]):
+            q = d[i] - x if i == 0 else d[i] - x - e2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+    return q
+
+
+def loop_best(ends, better):
+    """Reference: what a running `if better(x, best)` loop over ends keeps."""
+    best = ends[0]
+    for x in ends[1:]:
+        if better(x, best):
+            best = x
+    return best
+
+
+def walk_inputs():
+    """(d, e, shifts) that cover floored zero pivots, signed zeros and
+    non-finite entries."""
+    rng = np.random.default_rng(89)
+    for n in (1, 2, 3, 40, 300):
+        d, e = random_tridiagonal(rng, n)
+        yield d, e, (0.0, -0.0, float(d[0]), float(rng.uniform(-8.0, 8.0)))
+    for n in (2, 3, 17, 300):
+        d, e = degenerate_constant_matrix(n)
+        # at x = d_0 the first pivot is an exact zero, which is floored
+        yield d, e, (float(d[0]), 0.0, float(_kernels.smallest_eigenvalue(d, e, 1e-12)))
+    yield np.zeros(5), np.zeros(4), (0.0, -0.0)
+    yield np.array([-0.0, 0.0, -0.0]), np.array([-0.0, 0.0]), (0.0, -0.0, 1.0)
+    yield np.ones(3), np.zeros(2), (1.0,)
+    for bad in (math.nan, math.inf, -math.inf):
+        for pos in (0, 4, 9):
+            d, e = rng.uniform(1.0, 5.0, 10), rng.uniform(-1.0, 1.0, 9)
+            d_bad, e_bad = d.copy(), e.copy()
+            d_bad[pos] = bad
+            e_bad[min(pos, 8)] = bad
+            yield d_bad, e, (0.0, 2.0)
+            yield d, e_bad, (0.0, 2.0)
+            yield d, e, (bad,)
+
+
+class TestWalksMatchLoopReference:
+    """The pivot walks and the Gershgorin pick are bit for bit their plain
+    index-loop definitions."""
+
+    def test_pivots_and_last_pivot(self):
+        for d, e, shifts in walk_inputs():
+            e2 = e * e
+            pivmin = _kernels._SAFMIN * _kernels._max_skipping_nan(e2, initial=1.0)
+            for x in shifts:
+                with np.errstate(all="ignore"):
+                    shifted = d - x
+                for s, s2 in ((shifted, e2), (shifted[::-1], e2[::-1])):  # eigenvector's two walks
+                    got = _kernels._pivots(s, s2, pivmin)
+                    assert got.dtype == np.float64 and got.shape == s.shape
+                    assert got.tobytes() == loop_pivots(s, s2, pivmin).tobytes(), (d, e, x)
+                for dd, ee in ((d, e2), (d[::-1], e2[::-1])):  # _twisted_gap's two walks
+                    with np.errstate(all="ignore"):
+                        got = _kernels._last_pivot(x, memoryview(dd), memoryview(ee), pivmin)
+                    ref = loop_last_pivot(x, dd, ee, pivmin)
+                    assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d, e, x)
+
+    def test_gershgorin_end(self):
+        rng = np.random.default_rng(97)
+        cases = [
+            np.array([math.nan, -1.0, 2.0]),
+            np.array([1.0, math.nan, -1.0, 2.0]),
+            np.array([1.0, -1.0, math.nan, 2.0, -3.0]),
+            np.array([1.0, math.nan, math.nan]),
+            np.array([0.0, -0.0, 1.0]),
+            np.array([-0.0, 0.0, -1.0]),
+            np.array([0.0, -0.0]),
+            np.array([-0.0, 0.0]),
+            np.array([2.0, -0.0, 0.0, 2.0]),
+            np.array([math.inf, -math.inf, math.nan]),
+            np.array([-math.inf, math.inf]),
+            np.array([3.0]),
+        ]
+        for _ in range(50):
+            ends = rng.choice([-1.0, -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf], int(rng.integers(1, 12)))
+            cases.append(ends)
+            cases.append(rng.uniform(-5.0, 5.0, 30))
+        for ends in cases:
+            for argbest, nanargbest, better in [
+                (np.argmin, np.nanargmin, lambda x, best: x < best),
+                (np.argmax, np.nanargmax, lambda x, best: x > best),
+            ]:
+                with np.errstate(all="ignore"):
+                    got = _kernels._gershgorin_end(ends, argbest, nanargbest)
+                ref = loop_best(ends, better)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), ends
 
 
 class TestSmallestEigenvalue:
