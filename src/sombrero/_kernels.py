@@ -12,16 +12,20 @@ first arg-extremum, running sums and products) is left to numpy.  Every
 operation that reaches a result happens in a fixed order, so the answers
 are reproducible bit for bit.
 
-The bisection is aimed by the twisted factorization too: secant steps
-on the gap gamma_k(x) of T - x*I at one fixed index k, which vanishes
-at the eigenvalue, give an estimate within a few abs_tol of it.  The
-bisection's own halvings are then replayed as if the eigenvalue sat at
-that estimate, and probes at both ends of the bracket the replay ends
-in answer every question the bisection will ask from there on.  A
-probe's answer is monotone in the probe point, so a known answer only
-lets the bisection skip a probe; the bisection's own sequence of
-brackets, and so its result, stays bit for bit the one without the
-estimate (see smallest_eigenvalue).
+The bisection is aimed by the twisted factorization too.  The caller
+may pass one estimate of the eigenvalue, and the kernel decides the
+rest: secant steps on the gap gamma_k(x) of T - x*I at one fixed index
+k, which vanishes at the eigenvalue, start around that estimate (or,
+without one, from the bisection's own bracket) and find the eigenvalue
+to within a few abs_tol.  The bisection's own halvings are then
+replayed as if the eigenvalue sat at the secant's root, and probes at
+both ends of the bracket the replay ends in answer every question the
+bisection will ask from there on; when the root is off, the outer ends
+of the replays for points further out follow.  A probe's answer is
+monotone in the probe point, so a known answer only lets the bisection
+skip a probe; the bisection's own sequence of brackets, and so its
+result, stays bit for bit the one without an estimate (see
+smallest_eigenvalue).
 """
 
 import math
@@ -33,15 +37,19 @@ import numpy as np
 # Smallest normal double; pivot floors scale from this so the Sturm
 # recurrence never divides by an exact zero.
 _SAFMIN = 2.2250738585072014e-308
-# Aiming the bisection (see smallest_eigenvalue): a cold call aims once
-# its bracket is narrower than _AIM_START * abs_tol; the secant takes at
-# most _AIM_STEPS steps and stops at a step within _AIM_WIDTHS[0] *
-# abs_tol; after the ends of the replayed final brackets, its estimate
-# is probed each of _AIM_WIDTHS * abs_tol either side, nearest first,
-# until one pair of probes brackets the eigenvalue.
+# Aiming the bisection (see smallest_eigenvalue): a call with a finite
+# estimate starts its secant from _AIM_SPREAD * abs_tol either side of
+# it, a cold call from its own bracket once that is narrower than
+# _AIM_START * abs_tol; the secant takes at most _AIM_STEPS steps and
+# stops at a step within _AIM_STOP * abs_tol; after the ends of the
+# replayed final bracket for the secant's root x, the outer ends of
+# those for x -+ w * abs_tol are probed for each w in _AIM_WIDTHS,
+# nearest first, until one probe answers no and one yes.
 _AIM_START = 2.0**30
+_AIM_SPREAD = 1e6
 _AIM_STEPS = 5
-_AIM_WIDTHS = (4.0, 64.0, 1024.0)
+_AIM_STOP = 4.0
+_AIM_WIDTHS = (1.0, 4.0, 64.0, 1024.0)
 
 
 def _max_skipping_nan(a, initial=0.0) -> float:
@@ -145,7 +153,17 @@ def _final_bracket(lo, hi, x, abs_tol):
     return lo, hi
 
 
-def smallest_eigenvalue(d, e, abs_tol, hints=()):
+def _aim_points(lo, hi, x, abs_tol):
+    """The aim's probe points, nearest first, each replayed only when asked for:
+    both ends of the final bracket for x, then for each w in _AIM_WIDTHS
+    the outer ends of those for x - w * abs_tol and x + w * abs_tol."""
+    yield from _final_bracket(lo, hi, x, abs_tol)
+    for w in _AIM_WIDTHS:
+        yield _final_bracket(lo, hi, x - w * abs_tol, abs_tol)[0]
+        yield _final_bracket(lo, hi, x + w * abs_tol, abs_tol)[1]
+
+
+def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
     Brackets with Gershgorin bounds and bisects on the Sturm count until
@@ -163,21 +181,21 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
 
     The bisection is aimed before it narrows the bracket to the end.
     Secant steps on the twisted gap gamma_k(x) at k = argmin(d) (see
-    _twisted_gap; each step costs about one probe) estimate the
-    eigenvalue; they start from the outermost two hints, or in a call
-    with fewer hints from the bisection's own (lo, hi) once it is
+    _twisted_gap; each step costs about one probe) find its root x, an
+    estimate of the eigenvalue.  With a finite estimate (typically the
+    eigenvalue a coarser grid predicts) they start at once from
+    estimate -+ _AIM_SPREAD * abs_tol; without one (None, NaN or an
+    infinity) they start from the bisection's own (lo, hi) once it is
     narrower than _AIM_START * abs_tol.  From the current (lo, hi), the
-    bisection's own halvings are replayed as if the eigenvalue sat at the
-    estimate (_final_bracket), and both ends of the bracket that replay
-    ends in are probed first: when they answer no and yes, every later
-    mid lies at or beyond one of them and needs no probe.  Next come the
-    outer ends of the brackets the replay ends in for estimate - abs_tol
-    and estimate + abs_tol, then the points estimate +- w * abs_tol for
-    each w in _AIM_WIDTHS, and then the hints, each probed only while its
-    answer is not yet known.  hints are typically just below and just
-    above an estimate of the eigenvalue; non-finite hints are dropped.
-    The estimate and the hints change how long the bisection takes, never
-    its result.  The computed answer is
+    bisection's own halvings are replayed as if the eigenvalue sat at x
+    (_final_bracket), and both ends of the bracket that replay ends in
+    are probed first: when they answer no and yes, every later mid lies
+    at or beyond one of them and needs no probe.  Failing that come the
+    outer ends of the brackets the replay ends in for x - w * abs_tol
+    and x + w * abs_tol, for each w in _AIM_WIDTHS (_aim_points), each
+    probed only while its answer is not yet known, until one probe has
+    answered no and one yes.  The estimate and x change how long the
+    bisection takes, never its result.  The computed answer is
     monotone in the probe point x when d and e*e are finite: for x <= x',
     fl(d_0 - x) >= fl(d_0 - x'), because round-to-nearest subtraction is
     monotone in each argument (overflow to infinity included).  If
@@ -191,9 +209,9 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     the largest point that answered no and the smallest that answered
     yes, and a later mid at or beyond one of them takes the known answer
     without walking the recurrence: the (lo, hi) sequence, and so the
-    result, is bit for bit the one without hints.  With a NaN or an
+    result, is bit for bit the one without an aim.  With a NaN or an
     infinity in d or e*e the argument fails, so the bisection is then
-    neither aimed nor hinted.
+    not aimed.
     """
     n = d.shape[0]
     if n == 1:
@@ -213,30 +231,27 @@ def smallest_eigenvalue(d, e, abs_tol, hints=()):
     args = (float(d[0]), dv[1:], e2v, pivmin)
     known_no, known_yes = -math.inf, math.inf
 
-    hints = [x for x in map(float, hints) if math.isfinite(x)]
+    estimate = math.nan if estimate is None else float(estimate)
+    warm = math.isfinite(estimate)
     aim = bool(np.isfinite(d).all() and np.isfinite(e2).all())
     k = int(np.argmin(d)) if aim else 0
     while hi - lo > abs_tol:
-        if aim and (len(hints) > 1 or hi - lo < _AIM_START * abs_tol):
+        if aim and (warm or hi - lo < _AIM_START * abs_tol):
             aim = False
-            start = (min(hints), max(hints)) if len(hints) > 1 else (lo, hi)
+            spread = _AIM_SPREAD * abs_tol
+            start = (estimate - spread, estimate + spread) if warm else (lo, hi)
             gap = partial(_twisted_gap, d=dv, e2=e2v, k=k, pivmin=pivmin)
-            estimate = _secant_root(gap, *start, _AIM_WIDTHS[0] * abs_tol)
-            points = []
-            if math.isfinite(estimate):
-                points = [
-                    *_final_bracket(lo, hi, estimate, abs_tol),
-                    _final_bracket(lo, hi, estimate - abs_tol, abs_tol)[0],
-                    _final_bracket(lo, hi, estimate + abs_tol, abs_tol)[1],
-                    *(estimate + side * w * abs_tol for w in _AIM_WIDTHS for side in (-1.0, 1.0)),
-                ]
-            for x in points + hints:
+            x = _secant_root(gap, *start, _AIM_STOP * abs_tol)
+            points = _aim_points(lo, hi, x, abs_tol) if math.isfinite(x) else ()
+            for point in points:
                 # only a point strictly between the known answers adds one
-                if known_no < x < known_yes:
-                    if _pivot_below(x, *args):
-                        known_yes = x
+                if known_no < point < known_yes:
+                    if _pivot_below(point, *args):
+                        known_yes = point
                     else:
-                        known_no = x
+                        known_no = point
+                if -math.inf < known_no and known_yes < math.inf:
+                    break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

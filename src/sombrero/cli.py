@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .eigensolver import DEFAULT_GRID_POINTS, verify_solution
+from .eigensolver import DEFAULT_GRID_POINTS, _ladder, verify_solution
 from .potential import PotentialParams, eval_potential
 from .solvers import (
     NoRootError,
@@ -36,7 +36,7 @@ from .solvers import (
     solve_eta_mu,
 )
 from .trial import derive_trial, trial_split
-from .wavefunction import TrialWavefunction, eval_psi, maxima_radius
+from .wavefunction import TrialWavefunction, eval_s0, maxima_radius
 
 
 class OracleFailure(Exception):
@@ -84,8 +84,19 @@ _POSITIVE = _checked(float, lambda x: x > 0, "finite and > 0")
 _NONNEGATIVE = _checked(float, lambda x: x >= 0, "finite and >= 0")
 _ABOVE_ONE = _checked(float, lambda x: x > 1, "finite and > 1")
 _DIMENSION = _checked(int, lambda n: n >= 1, ">= 1")
-_GRID = _checked(int, lambda n: n >= 64 and n % 4 == 0, "a multiple of 4 and >= 64")
 _STEPS = _checked(int, lambda n: n >= 2, ">= 2")
+
+
+def _is_ladder_cap(n) -> bool:
+    """Whether groundstate takes n as its grid cap: eigensolver._ladder's rule."""
+    try:
+        _ladder(n)
+    except ValueError:
+        return False
+    return True
+
+
+_GRID = _checked(int, _is_ladder_cap, "a multiple of 4 and >= 64")
 
 
 def _fmt(x) -> str:
@@ -288,7 +299,10 @@ def cmd_plot_data(args) -> int:
     else:
         w = TrialWavefunction.from_potential(p)
         peak = maxima_radius(w)
-        values = np.asarray(eval_psi(w, radii)) / eval_psi(w, peak.radius)
+        # psi = exp(-S0) over its peak value, divided in S-space: the peak
+        # value itself overflows once -S0 there passes ~709
+        with np.errstate(under="ignore"):
+            values = np.exp(-(np.asarray(eval_s0(w, radii)) - eval_s0(w, peak.radius)))
     _write_csv(args.out, "r,value", radii, values)
     return 0
 

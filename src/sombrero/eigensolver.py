@@ -48,9 +48,6 @@ TOL_SIMILARITY = 1e-6
 DEFAULT_GRID_POINTS = 8000
 _LADDER_FLOOR = 250
 _LADDER_TARGET = TOL_ENERGY / 100
-# half-width, in units, of the pair of points around an eigenvalue
-# estimate from which a bisection's secant aim starts
-_HINT_WIDTH = 1e-4
 
 
 class GridExtentWarning(UserWarning):
@@ -272,11 +269,11 @@ def groundstate(
     bisect_tol = target / 100.0
     raw = []
     energies = []
-    hints = ()
+    estimate = None
     for n in levels:
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
-        # a hint only shortens the bisection (see _kernels.smallest_eigenvalue)
-        raw.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, hints)))
+        # an estimate only shortens the bisection (see _kernels.smallest_eigenvalue)
+        raw.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, estimate)))
         estimate = raw[-1]
         if len(raw) > 1:
             e_coarse, e_fine = raw[-2:]
@@ -294,7 +291,6 @@ def groundstate(
             # the raw error falls 4x per halving of dr, so the next level's
             # eigenvalue sits near E + (e_coarse - e_fine) / 12
             estimate = energies[-1] + (e_coarse - e_fine) / 12.0
-        hints = (estimate - _HINT_WIDTH * unit, estimate + _HINT_WIDTH * unit)
 
     # op is the finest grid's operator, the last one the loop built
     vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)

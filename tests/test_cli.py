@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sombrero
-from sombrero import cli
+from sombrero import PotentialParams, TrialWavefunction, cli, eval_s0, maxima_radius
 from sombrero.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -466,6 +466,27 @@ class TestPlotData:
         spacing = 3.0 / 299
         assert abs(peak_r - 1.0745699) <= spacing
         assert data[:, 1].max() == pytest.approx(1.0, abs=1e-4)
+
+    def test_wavefunction_peak_past_the_double_range(self, tmp_path, capsys):
+        # the ring peaks at r = 26.1 with S0 = -4.6e5 there, so exp(-S0)
+        # at the peak overflows; the ratio to it must not
+        flags = ["--g", "1", "--alpha", "1000", "--beta", "0", "--A", "0", "--N", "3"]
+        w = TrialWavefunction.from_potential(PotentialParams(g=1.0, alpha=1000.0, beta=0.0, bigA=0.0, n_dim=3))
+        peak = maxima_radius(w).radius
+        assert eval_s0(w, peak) < -4e5
+        for r_from, first in (("0", 0.0), (repr(peak), 1.0)):
+            out_path = tmp_path / "wf.csv"
+            code, out, err = run_cli(
+                ["plot-data", "--what", "wavefunction", *flags,
+                 "--r-from", r_from, "--r-to", "30", "--steps", "7", "--out", str(out_path)],
+                capsys,
+            )
+            assert (code, out, err) == (0, "", "")
+            text = out_path.read_text(encoding="utf-8")
+            assert "nan" not in text
+            values = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+            assert len(values) == 7 and all(0.0 <= v <= 1.0 for v in values)
+            assert values[0] == first
 
     def test_potential_dataset(self, tmp_path, capsys):
         out_path = tmp_path / "v.csv"

@@ -449,30 +449,37 @@ class TestStages:
         assert abs(res.energy) < 1e-8
 
     def test_aimed_bisection_probe_counts(self, worked_potential, monkeypatch):
-        # a count, not a timing: Sturm probes per ladder level.  Without
-        # the secant aim the levels took 51 (cold, 250 cells), 45 (500
-        # cells, where the hint from the 250-cell eigenvalue misses) and 25;
-        # probing just either side of the estimate, 27, 7 and 7 (35, 6, 6
-        # and 6 on r_max = 8 up to 2000 cells); probing the ends of the
-        # bracket the bisection will end in, 23, 2 and 3 (30, 2, 3 and 3)
-        probes = []
-        pivot_below, smallest_eigenvalue = _kernels._pivot_below, _kernels.smallest_eigenvalue
+        # counts, not timings: (Sturm probes, gamma_k walks) per ladder
+        # level.  Without the secant aim the levels took 51 (cold, 250
+        # cells), 45 (500 cells, where the estimate from the 250-cell
+        # eigenvalue misses) and 25 probes; probing just either side of
+        # the estimate, 27, 7 and 7 (35, 6, 6 and 6 on r_max = 8 up to
+        # 2000 cells); probing the ends of the bracket the bisection will
+        # end in, 23, 2 and 3 (30, 2, 3 and 3)
+        counts = []
+        pivot_below, twisted_gap = _kernels._pivot_below, _kernels._twisted_gap
+        smallest_eigenvalue = _kernels.smallest_eigenvalue
 
         def counted_pivot_below(*args):
-            probes[-1] += 1
+            counts[-1][0] += 1
             return pivot_below(*args)
 
+        def counted_twisted_gap(*args, **kwargs):
+            counts[-1][1] += 1
+            return twisted_gap(*args, **kwargs)
+
         def per_level(*args):
-            probes.append(0)
+            counts.append([0, 0])
             return smallest_eigenvalue(*args)
 
         monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
+        monkeypatch.setattr(_kernels, "_twisted_gap", counted_twisted_gap)
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
         assert groundstate(worked_potential).grid.n_points == 1000
-        assert probes == [23, 2, 3]
-        probes.clear()
+        assert counts == [[23, 5], [2, 4], [3, 3]]
+        counts.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 2000
-        assert probes == [30, 2, 3, 3]
+        assert counts == [[30, 4], [2, 5], [3, 3], [3, 3]]
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)

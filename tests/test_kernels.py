@@ -88,52 +88,48 @@ def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
     return 0.5 * (lo + hi)
 
 
-def hint_sets(d, e, ref, visited, rng):
-    """Hint lists for smallest_eigenvalue that must not change its result:
-    at the eigenvalue and one ulp either side, far outside the Gershgorin
-    bracket, at mids the bisection visits, at random, and non-finite."""
+def estimates(d, e, ref, visited, rng):
+    """Estimates for smallest_eigenvalue that must not change its result:
+    the eigenvalue and one ulp either side, far outside the Gershgorin
+    bracket, at random, non-finite, and at mids the bisection visits and
+    one ulp either side of them."""
     entries = np.concatenate([d, e])
     reach = 1.0 + 3.0 * float(np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0))
-    below, above = np.nextafter(ref, -math.inf), np.nextafter(ref, math.inf)
-    sets = [
-        (ref,),
-        (below,),
-        (above,),
-        (below, above),
-        (above, ref, below),
-        (-1e3 * reach,),
-        (1e3 * reach,),
-        (-1e3 * reach, 1e3 * reach),
-        tuple(rng.uniform(-reach, reach, 4)),
-        (math.nan,),
-        (math.inf, -math.inf),
-        (below, math.nan, above),
+    points = [
+        ref,
+        np.nextafter(ref, -math.inf),
+        np.nextafter(ref, math.inf),
+        -1e3 * reach,
+        1e3 * reach,
+        *rng.uniform(-reach, reach, 4),
+        math.nan,
+        math.inf,
+        -math.inf,
     ]
     for mid in (visited[0], visited[len(visited) // 2], visited[-1]) if visited else ():
-        sets.append((mid,))
-        sets.append((np.nextafter(mid, -math.inf), np.nextafter(mid, math.inf)))
-    return sets
+        points += [mid, np.nextafter(mid, -math.inf), np.nextafter(mid, math.inf)]
+    return points
 
 
-def assert_same_bits(d, e, tol, hints_seed=0):
+def assert_same_bits(d, e, tol, estimates_seed=0):
     with np.errstate(all="ignore"):
         got = _kernels.smallest_eigenvalue(d, e, tol)
         visited = []
         ref = loop_smallest_eigenvalue(d, e, tol, visited)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
-        for hints in hint_sets(d, e, float(ref), visited, np.random.default_rng(hints_seed)):
-            hinted = _kernels.smallest_eigenvalue(d, e, tol, hints)
-            assert np.float64(hinted).tobytes() == np.float64(ref).tobytes(), hints
+        for estimate in estimates(d, e, float(ref), visited, np.random.default_rng(estimates_seed)):
+            aimed = _kernels.smallest_eigenvalue(d, e, tol, estimate)
+            assert np.float64(aimed).tobytes() == np.float64(ref).tobytes(), estimate
 
 
 def groundstate_bisections(*args, **kwargs):
-    """(d, e, abs_tol, hints) of each bisection a groundstate solve makes."""
+    """(d, e, abs_tol, estimate) of each bisection a groundstate solve makes."""
     calls = []
     smallest_eigenvalue = _kernels.smallest_eigenvalue
 
-    def recorded(d, e, abs_tol, hints=()):
-        calls.append((d, e, abs_tol, tuple(hints)))
-        return smallest_eigenvalue(d, e, abs_tol, hints)
+    def recorded(d, e, abs_tol, estimate=None):
+        calls.append((d, e, abs_tol, estimate))
+        return smallest_eigenvalue(d, e, abs_tol, estimate)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "smallest_eigenvalue", recorded)
@@ -194,11 +190,11 @@ def random_matrices():
 class TestMatchesLoopReference:
     """The bisection performs the loop version's IEEE-754 operations in
     the same order, so every result is identical to the last bit, whatever
-    hints it is given."""
+    estimate it is given."""
 
     def test_random_matrices(self):
         for k, (d, e, tol) in enumerate(random_matrices()):
-            assert_same_bits(d, e, tol, hints_seed=k)
+            assert_same_bits(d, e, tol, estimates_seed=k)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 300])
     def test_degenerate_constant_matrix(self, n):
@@ -228,49 +224,52 @@ class TestMatchesLoopReference:
                              ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
     def test_aimed_oracle_bisections(self, solve):
         # every bisection of the solve (the cold first level included),
-        # with the hints it was given and with hints that mislead the aim:
-        # both on one side of the eigenvalue, straddling the second
-        # eigenvalue or the pole of the aim's gamma_k between the two,
-        # far outside the Gershgorin bracket, or so far apart that the
-        # secant step overflows.  No numpy warning is allowed on the way.
-        for d, e, tol, hints in solve():
+        # with the estimate it was given and with estimates that mislead
+        # the aim: its secant starting on one side of the eigenvalue,
+        # straddling the second eigenvalue or the pole of the aim's
+        # gamma_k between the two, far outside the Gershgorin bracket, or
+        # at the ends of the double range.  No numpy warning is allowed
+        # on the way.
+        for d, e, tol, estimate in solve():
             ref = float(loop_smallest_eigenvalue(d, e, tol))
             second = sla.eigh_tridiagonal(d, e, select="i", select_range=(1, 1), eigvals_only=True)[0]
             pole = gap_pole(d, e)
-            w = 1e6 * tol  # the width of the hints groundstate passes
+            w = _kernels._AIM_SPREAD * tol  # the secant starts at estimate -+ w
             assert ref < pole < second
             assert aimed_gap(d, e, pole - w) < 0.0 < aimed_gap(d, e, pole + w)
             reach = 1e3 * float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
-            for pair in [
-                hints,
-                (ref + w, ref + 2.0 * w),
-                (ref - 2.0 * w, ref - w),
-                (second - w, second + w),
-                (pole - w, pole + w),
-                (reach, reach + w),
-                (-reach - w, -reach),
-                (-np.finfo(float).max, np.finfo(float).max),
+            for guess in [
+                estimate,
+                ref + 2.0 * w,
+                ref - 2.0 * w,
+                second,
+                pole,
+                reach,
+                -reach,
+                -np.finfo(float).max,
+                np.finfo(float).max,
             ]:
-                got = _kernels.smallest_eigenvalue(d, e, tol, pair)
-                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d.size, pair)
+                got = _kernels.smallest_eigenvalue(d, e, tol, guess)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d.size, guess)
 
     def test_gap_overflow_skips_the_aim(self):
-        # entries near the top of the double range: gamma_k at the hints is
-        # infinite, so the aim is skipped and only the hints are probed
+        # entries near the top of the double range: gamma_k where the
+        # secant starts is infinite, so the bisection runs unaimed
         rng = np.random.default_rng(83)
         d = rng.uniform(9e307, 1.7e308, 40)
         e = rng.uniform(-1e150, 1e150, 39)
-        hints = (-1e308, -9e307)
-        assert aimed_gap(d, e, hints[0]) == aimed_gap(d, e, hints[1]) == math.inf
+        estimate = -1e308
+        spread = _kernels._AIM_SPREAD * 1e-3
+        assert aimed_gap(d, e, estimate - spread) == aimed_gap(d, e, estimate + spread) == math.inf
         with np.errstate(all="ignore"):
             ref = loop_smallest_eigenvalue(d, e, 1e-3)
-        for pair in (hints, ()):
-            got = _kernels.smallest_eigenvalue(d, e, 1e-3, pair)
+        for given in (estimate, None):
+            got = _kernels.smallest_eigenvalue(d, e, 1e-3, given)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_hints_never_change_the_eigenvalue(self, data):
+    def test_estimate_never_changes_the_eigenvalue(self, data):
         n = data.draw(st.integers(1, 12), label="n")
         entry = st.one_of(
             st.floats(-1e3, 1e3),
@@ -290,10 +289,15 @@ class TestMatchesLoopReference:
             st.sampled_from(near),
             st.floats(allow_nan=True, allow_infinity=True),
         )
-        hints = data.draw(st.lists(point, max_size=4), label="hints")
+        estimate = data.draw(st.one_of(st.none(), point), label="estimate")
         with np.errstate(all="ignore"):
-            got = _kernels.smallest_eigenvalue(d, e, tol, hints)
-        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            got = _kernels.smallest_eigenvalue(d, e, tol, estimate)
+        # which NaN operand an IEEE-754 operation passes on is unspecified:
+        # numpy's array add passes on the first one and its scalar add the
+        # second, so the kernel's Gershgorin end d_0 + |e_0| and the loop's
+        # can be NaNs of opposite sign; any NaN matches a NaN
+        same_nan = math.isnan(got) and math.isnan(ref)
+        assert same_nan or np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestEstimateNeverChangesResult:
@@ -316,7 +320,7 @@ class TestEstimateNeverChangesResult:
             math.nan,
         ]
 
-    def assert_same_bits(self, monkeypatch, d, e, tol, hints=()):
+    def assert_same_bits(self, monkeypatch, d, e, tol, given=None):
         calls = []
         visited = []
         with np.errstate(all="ignore"):
@@ -324,16 +328,16 @@ class TestEstimateNeverChangesResult:
         estimates = self.adversarial_estimates(d, e, tol, ref, visited)
         for estimate in estimates:
             monkeypatch.setattr(_kernels, "_secant_root", lambda *args: calls.append(args) or estimate)
-            got = _kernels.smallest_eigenvalue(d, e, tol, hints)
+            got = _kernels.smallest_eigenvalue(d, e, tol, given)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d.size, estimate)
         assert len(calls) == len(estimates)  # each call aimed once
 
     @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
                              ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
     def test_oracle_bisections(self, solve, monkeypatch):
-        # every bisection of the solve, with the hints it was given
-        for d, e, tol, hints in solve():
-            self.assert_same_bits(monkeypatch, d, e, tol, hints)
+        # every bisection of the solve, with the estimate it was given
+        for d, e, tol, given in solve():
+            self.assert_same_bits(monkeypatch, d, e, tol, given)
 
     def test_random_matrices(self, monkeypatch):
         for d, e, tol in random_matrices():
