@@ -224,6 +224,16 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     radius[:-1] += np.abs(e)
     lo = _gershgorin_end(d - radius, np.argmin, np.nanargmin)
     hi = _gershgorin_end(d + radius, np.argmax, np.nanargmax)
+    if math.isnan(lo) or math.isnan(hi):
+        # a NaN end comes from d_0 or e_0 and no mid is probed.  Which of
+        # two NaN operands a sum passes on is not fixed (numpy's array and
+        # scalar adds differ, and CPython's float add changes once
+        # specialized), so the NaN is the one the plain loop's scalar steps
+        # give: d_0 -+ |e_0|, then the mean of the two ends.  The array
+        # ends above already warned of an invalid value.
+        d0, r0 = d[0], abs(e[0])
+        with np.errstate(invalid="ignore"):
+            return float(0.5 * ((d0 - r0) + (d0 + r0)))
 
     # memoryviews hand out one Python float at a time; a tolist() copy
     # iterates ~15% faster but holds n float objects per array

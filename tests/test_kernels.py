@@ -1,6 +1,7 @@
 """Tridiagonal kernels against scipy and dense numpy references, and
 bit for bit against a plain element-by-element loop version."""
 
+import itertools
 import math
 
 import numpy as np
@@ -220,6 +221,16 @@ class TestMatchesLoopReference:
             e_bad[min(pos, 8)] = bad
             assert_same_bits(d, e_bad, 1e-12)
 
+    def test_nan_ends_take_the_loops_nan(self):
+        # with NaN in d_0 and e_0 both Gershgorin ends are NaN, and which
+        # NaN a sum of two passes on differs between numpy's array and
+        # scalar adds and CPython's specialized float add; assert_same_bits
+        # calls the kernel often enough for the specialized add to run
+        vals = (math.nan, -math.nan, math.inf, -math.inf, 1.0)
+        for n in (2, 3):
+            for entries in itertools.product(vals, repeat=2 * n - 1):
+                assert_same_bits(np.array(entries[:n]), np.array(entries[n:]), 1e-9)
+
     @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
                              ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
     def test_aimed_oracle_bisections(self, solve):
@@ -292,12 +303,7 @@ class TestMatchesLoopReference:
         estimate = data.draw(st.one_of(st.none(), point), label="estimate")
         with np.errstate(all="ignore"):
             got = _kernels.smallest_eigenvalue(d, e, tol, estimate)
-        # which NaN operand an IEEE-754 operation passes on is unspecified:
-        # numpy's array add passes on the first one and its scalar add the
-        # second, so the kernel's Gershgorin end d_0 + |e_0| and the loop's
-        # can be NaNs of opposite sign; any NaN matches a NaN
-        same_nan = math.isnan(got) and math.isnan(ref)
-        assert same_nan or np.float64(got).tobytes() == np.float64(ref).tobytes()
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestEstimateNeverChangesResult:
