@@ -16,8 +16,8 @@ The bisection is aimed by the twisted factorization too.  The caller
 may pass one estimate of the eigenvalue, and the kernel decides the
 rest: secant steps on the gap gamma_k(x) of T - x*I at one fixed index
 k, which vanishes at the eigenvalue, start around that estimate (or,
-without one, from the bisection's own bracket) and find the eigenvalue
-to within a few abs_tol.  The bisection's own halvings are then
+without one, from the bisection's own bracket) and stop once a step is
+within 64 abs_tol.  The bisection's own halvings are then
 replayed as if the eigenvalue sat at the secant's root, and probes at
 both ends of the bracket the replay ends in answer every question the
 bisection will ask from there on; when the root is off, the outer ends
@@ -48,7 +48,7 @@ _SAFMIN = 2.2250738585072014e-308
 _AIM_START = 2.0**30
 _AIM_SPREAD = 1e6
 _AIM_STEPS = 5
-_AIM_STOP = 4.0
+_AIM_STOP = 64.0
 _AIM_WIDTHS = (1.0, 4.0, 64.0, 1024.0)
 
 

@@ -96,7 +96,7 @@ def _is_ladder_cap(n) -> bool:
     return True
 
 
-_GRID = _checked(int, _is_ladder_cap, "a multiple of 4 and >= 64")
+_GRID = _checked(int, _is_ladder_cap, "a multiple of 8 and >= 128")
 
 
 def _fmt(x) -> str:
@@ -323,7 +323,7 @@ def _add_oracle_flags(sub):
         "--grid",
         type=_GRID,
         default=DEFAULT_GRID_POINTS,
-        help=f"finest grid of the ladder (default {DEFAULT_GRID_POINTS})",
+        help=f"finest grid of the ladder, a multiple of 8 and >= 128 (default {DEFAULT_GRID_POINTS})",
     )
 
 

@@ -7,10 +7,13 @@ enforces psi'(0) = 0 for every dimension; the outer boundary is
 Dirichlet.  A similarity transform by r^((N-1)/2) makes the operator an
 exactly symmetric tridiagonal matrix, whose smallest eigenvalue comes
 from Sturm-sequence bisection.  The energy is computed on a ladder of
-grids, each with half the spacing of the one before, and each
-consecutive pair is Richardson-extrapolated, cancelling the leading
-O(dr^2) error; the ladder stops once the extrapolated energy meets an
-accuracy target.  The groundstate vector comes from one twisted
+grids, each with half the spacing of the one before, and Richardson-
+extrapolated twice: each consecutive pair cancels the leading O(dr^2)
+error, and each consecutive pair of those the O(dr^4) one.  The ladder
+stops once the error estimate of the twice-extrapolated energy, which
+adds the bisection's tolerance and the eigenvalues' round-off to the
+extrapolation's own estimate, meets an accuracy target.  The
+groundstate vector comes from one twisted
 factorization on the finest grid.  Each solve uses one domain: an
 explicit r_max, or for the sextic family one derived from the
 potential's own length scale, so that a rescaled potential r -> s r
@@ -43,11 +46,15 @@ _WKB_REACH = 40.0
 TOL_ENERGY = 1e-6
 TOL_SIMILARITY = 1e-6
 # grid ladder: the default finest grid, the fewest cells a level below
-# the third-finest may have, and the extrapolated energy's error target
-# in units; each level's bisection stops at 1/100 of the target
+# the fourth-finest may have, and the extrapolated energy's error target
+# in units; each level's bisection stops at 1/100 of the target, and a
+# Sturm-bisected eigenvalue on n cells is good only to about
+# _ROUNDOFF * n^2 units (measured at most 0.74 eps n^2 from 8000 to
+# 16000 cells)
 DEFAULT_GRID_POINTS = 8000
-_LADDER_FLOOR = 250
+_LADDER_FLOOR = 125
 _LADDER_TARGET = TOL_ENERGY / 100
+_ROUNDOFF = float(np.finfo(float).eps)
 
 
 class GridExtentWarning(UserWarning):
@@ -91,14 +98,16 @@ class TridiagonalOperator:
 class EigenResult:
     """Groundstate estimate from the oracle.
 
-    energy is the Richardson-extrapolated eigenvalue; vector holds the
-    discrete wavefunction samples on the finest grid, from one twisted
-    factorization at the fine eigenvalue, sign-checked (no entry below
-    -1e-8 times the peak) and normalized so sum(vector^2 r^(N-1)) dr = 1.
-    richardson_pair keeps the two raw eigenvalues (coarse, fine) behind
-    the extrapolation.  error_estimate is the grid ladder's own estimate
-    of the energy's error, |E_k - E_(k-1)| / 15 over its last two
-    levels; every solve has one.
+    energy is the twice Richardson-extrapolated eigenvalue E2_k (see
+    groundstate for a ladder restarted near its top); vector
+    holds the discrete wavefunction samples on the finest grid, from one
+    twisted factorization at the fine eigenvalue, sign-checked (no entry
+    below -1e-8 times the peak) and normalized so
+    sum(vector^2 r^(N-1)) dr = 1.  richardson_pair keeps the two finest
+    raw eigenvalues (coarse, fine).  error_estimate bounds the energy's
+    error: |E2_k - E2_(k-1)| / 31 over the ladder's last two levels,
+    plus the bisection's tolerance, plus the round-off eps n^2 / r_max^2
+    of an eigenvalue on n cells (see groundstate); every solve has one.
     """
 
     energy: float
@@ -140,12 +149,15 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
         v = v - np.asarray(extra_potential(r), dtype=float)
     _require_finite(v, r)
 
-    faces = np.arange(n + 1) * dr
-    w = faces ** (ndim - 1.0)
-    w[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
-    rw = r ** (ndim - 1.0)
-    diag = 0.5 * (w[:-1] + w[1:]) / (rw * dr * dr) + v
-    off = -0.5 * w[1:-1] / (dr * dr * np.sqrt(rw[:-1] * rw[1:]))
+    # the r^(N-1) weights enter only as ratios of face to cell radii, in
+    # units of dr, which stay near 1: nothing underflows at any N
+    faces = np.arange(n + 1.0)
+    cells = faces[:-1] + 0.5
+    inner = (faces[:-1] / cells) ** (ndim - 1.0)
+    inner[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
+    outer = (faces[1:] / cells) ** (ndim - 1.0)
+    diag = (inner + outer) / (2.0 * dr * dr) + v
+    off = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0)) / (2.0 * dr * dr)
 
     v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
     if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
@@ -171,14 +183,15 @@ def _ladder(n_points: int) -> tuple[int, ...]:
 
     The levels are n_points, n_points/2, n_points/4, ... down to the
     smallest exact halving with at least _LADDER_FLOOR cells, and always
-    at least three, so that the finest level has an error estimate:
-    8000 gives 250, 500, ..., 8000 and 2000 gives 250, 500, 1000, 2000.
-    Raises ValueError unless n_points is a multiple of 4 and at least
-    64, which makes n_points/4 an exact level of MIN_GRID_POINTS or more.
+    at least four, so that the finest level has an error estimate from
+    two Richardson steps: 8000 gives 125, 250, ..., 8000 and 2000 gives
+    125, 250, 500, 1000, 2000.  Raises ValueError unless n_points is a
+    multiple of 8 and at least 128, which makes n_points/8 an exact
+    level of MIN_GRID_POINTS or more.
     """
-    if n_points % 4 or n_points < 4 * MIN_GRID_POINTS:
-        raise ValueError(f"n_points must be a multiple of 4 and at least {4 * MIN_GRID_POINTS}, got {n_points}")
-    levels = [n_points, n_points // 2, n_points // 4]
+    if n_points % 8 or n_points < 8 * MIN_GRID_POINTS:
+        raise ValueError(f"n_points must be a multiple of 8 and at least {8 * MIN_GRID_POINTS}, got {n_points}")
+    levels = [n_points, n_points // 2, n_points // 4, n_points // 8]
     while levels[-1] % 2 == 0 and levels[-1] // 2 >= _LADDER_FLOOR:
         levels.append(levels[-1] // 2)
     return tuple(reversed(levels))
@@ -227,24 +240,39 @@ def groundstate(
     """Smallest eigenvalue and groundstate vector of V - extra_potential.
 
     Solves on one domain [0, r_max] over a ladder of grids, each with
-    half the spacing of the one before, and Richardson-extrapolates each
-    consecutive pair of raw eigenvalues, E_k = (4 e_k - e_(k-1)) / 3.
-    n_points is the finest grid the ladder may use (see _ladder for its
-    levels; 8000 gives 250, 500, ..., 8000 cells).  The first level is
-    bisected cold, each later one from the eigenvalue the levels below
-    predict.  The ladder stops at the first level from the third on
-    where the extrapolated error estimate |E_k - E_(k-1)| / 15 is at
-    most 1e-8 / r_max^2, or at n_points cells, whatever the estimate
-    there; each bisection stops within 1e-10 / r_max^2.  Both scale like
-    the energy under r -> s r, so a rescaled potential takes the same
-    steps.  The last level's estimate comes back as error_estimate.  The
-    energy, richardson_pair and vector all come from the last pair of
-    levels; the vector is one twisted factorization
-    (_kernels.eigenvector) at the finest grid's eigenvalue.  Raises
-    ValueError unless n_points is a multiple of 4 and at least 64, and
-    RuntimeError when two consecutive raw eigenvalues disagree by more
-    than 1/dr^2 of the coarser grid (grid too coarse), and when the
-    vector is not finite or changes sign.
+    half the spacing of the one before, and Richardson-extrapolates
+    twice: each consecutive pair of raw eigenvalues to
+    E_k = (4 e_k - e_(k-1)) / 3, and each consecutive pair of those to
+    E2_k = (16 E_k - E_(k-1)) / 15.  n_points is the finest grid the
+    ladder may use (see _ladder for its levels; 8000 gives 125, 250,
+    ..., 8000 cells).  The first level is bisected cold, the one after it
+    (or after a restart, below) from its eigenvalue, and each later one
+    from E_k + (e_(k-1) - e_k) / 12.  The ladder stops at the first level
+    from the fourth on where the error estimate, the sum of
+      |E2_k - E2_(k-1)| / 31 (for N = 3 the error left after two
+        steps falls only about 32x per halving of dr, and / 63
+        undershot it by about 2x),
+      the bisection's tolerance 1e-10 / r_max^2, and
+      eps n^2 / r_max^2, the round-off of a Sturm-bisected eigenvalue on
+        n cells (measured at most 0.74 eps n^2 / r_max^2),
+    is at most 1e-8 / r_max^2, or at n_points cells, whatever the
+    estimate there.  Every term scales like the energy under r -> s r,
+    so a rescaled potential takes the same steps.  The last level's
+    estimate comes back as error_estimate.  The energy, richardson_pair
+    and vector all come from the last level and the ones below; the
+    vector is one twisted factorization (_kernels.eigenvector) at the
+    finest grid's eigenvalue.
+
+    When two consecutive raw eigenvalues disagree by more than 1/dr^2 of
+    the coarser grid (grid too coarse), the extrapolation starts over
+    from the finer level, and at the finest pair this raises
+    RuntimeError.  A ladder restarted at its second- or third-finest
+    level has no two E2 values: it returns its best extrapolation there
+    (E_k after a restart at the second-finest) and reports the size of
+    its last Richardson correction as the discretization part of the
+    estimate.  Raises ValueError unless n_points is a multiple of 8 and
+    at least 128, and RuntimeError when the vector is not finite or
+    changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -267,30 +295,48 @@ def groundstate(
     unit = 1.0 / r_max**2
     target = _LADDER_TARGET * unit
     bisect_tol = target / 100.0
-    raw = []
-    energies = []
+    # per level since the last restart, coarsest first: [e_k, E_k, E2_k],
+    # as far as the levels below reach
+    rows = []
     estimate = None
     for n in levels:
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
         # an estimate only shortens the bisection (see _kernels.smallest_eigenvalue)
-        raw.append(float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, estimate)))
-        estimate = raw[-1]
-        if len(raw) > 1:
-            e_coarse, e_fine = raw[-2:]
+        e_fine = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, estimate))
+        if rows:
+            e_coarse = rows[-1][0]
             coarse_kinetic = (n / 2.0 / r_max) ** 2
             if abs(e_coarse - e_fine) > coarse_kinetic:
-                raise RuntimeError(
-                    f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
-                    f"the coarser grid's 1/dr^2 = {coarse_kinetic:.3g}: grid too coarse"
-                )
-            energies.append((4.0 * e_fine - e_coarse) / 3.0)
-            if len(energies) > 1:
-                error_estimate = abs(energies[-1] - energies[-2]) / 15.0
-                if error_estimate <= target:
-                    break
-            # the raw error falls 4x per halving of dr, so the next level's
-            # eigenvalue sits near E + (e_coarse - e_fine) / 12
-            estimate = energies[-1] + (e_coarse - e_fine) / 12.0
+                if n == levels[-1]:
+                    raise RuntimeError(
+                        f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
+                        f"the coarser grid's 1/dr^2 = {coarse_kinetic:.3g}: grid too coarse"
+                    )
+                # a finer pair may resolve what this one cannot: extrapolate
+                # from this level on
+                rows = []
+        row = [e_fine]
+        if rows:
+            below = rows[-1]
+            row.append((4.0 * e_fine - below[0]) / 3.0)
+            if len(below) > 1:
+                row.append((16.0 * row[1] - below[1]) / 15.0)
+        rows.append(row)
+        if len(rows) > 1:
+            below = rows[-2]
+            # an O(dr^6) error would call for / 63, but for N = 3 what two
+            # steps leave falls only about 32x per halving; a ladder
+            # restarted near its top counts its last Richardson correction
+            if len(below) == 3:
+                error_estimate = abs(row[2] - below[2]) / 31.0
+            else:
+                error_estimate = abs(row[-1] - row[-2])
+            error_estimate += bisect_tol + _ROUNDOFF * n * n * unit
+            if len(below) == 3 and error_estimate <= target:
+                break
+        # the raw error falls 4x per halving of dr, so the next level's
+        # eigenvalue sits near E_k + (e_(k-1) - e_k) / 12
+        estimate = e_fine if len(row) == 1 else row[1] + (rows[-2][0] - e_fine) / 12.0
 
     # op is the finest grid's operator, the last one the loop built
     vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)
@@ -305,10 +351,10 @@ def groundstate(
     psi = vec / r ** ((ndim - 1.0) / 2.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
     return EigenResult(
-        energy=energies[-1],
+        energy=rows[-1][-1],
         vector=psi,
         grid=grid,
-        richardson_pair=(e_coarse, e_fine),
+        richardson_pair=(rows[-2][0], e_fine),
         error_estimate=error_estimate,
     )
 

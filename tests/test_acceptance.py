@@ -236,7 +236,7 @@ def test_criterion_6_oracle_calibration():
     for n_dim in (1, 2, 3, 5, 9):
         res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0, n_points=2000)
         worst = max(worst, abs(res.energy - n_dim / 2.0))
-    coarse = groundstate(lambda r: 0.5 * r * r, n_dim=3, r_max=12.0, n_points=500)
+    coarse = groundstate(lambda r: 0.5 * r * r, n_dim=3, r_max=12.0, n_points=512)
     e_coarse, e_fine = coarse.richardson_pair
     order = math.log2(abs(e_coarse - 1.5) / abs(e_fine - 1.5))
     checks = [

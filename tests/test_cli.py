@@ -99,14 +99,14 @@ class TestDerive:
         assert float(table["derived.e0"]) == 2.5
 
     def test_unresolved_oracle_is_named(self, capsys):
-        # e0 = 0 exactly; at the 8000-cell cap the ladder's error estimate
-        # is 2.1e-6, and so is |E - e0|, both above the tolerance
-        # 1e-6 / r_max^2 = 6.5e-7
-        code, out, err = run_cli(["eta-mu", "--g", "3000", "--N", "3"], capsys)
+        # both constraints hold (e0 = -3.3e-6 is what rounding leaves of
+        # terms near 1e5); at the 8000-cell cap the ladder's error
+        # estimate is 2.2e-3 and |E - e0| 9.8e-4, both above the tolerance
+        # 1e-6 / r_max^2 = 7.5e-7
+        code, out, err = run_cli(["eta-mu", "--g", "1e5", "--N", "3"], capsys)
         assert code == 1
         assert err == ""
         table = parse_table(out)
-        assert table["solution.e0"] == "0"
         assert table["verification.verdict"] == "FAIL"
         assert [v for k, v in table.items() if k.startswith("verification.failures.")] == ["oracle_unresolved"]
 
@@ -320,10 +320,10 @@ class TestEtaMu:
 
     def test_strong_coupling_fails_at_the_grid_cap(self, capsys):
         # the solution meets both constraints, but the 8000-cell grid
-        # cannot resolve its narrow ring, |E - e0| = 6.7e-5, and the
+        # cannot resolve its narrow ring, |E - e0| = 9.8e-4, and the
         # ladder's own error estimate says so: the verdict names the
         # unresolved oracle, not a wrong energy
-        code, out, err = run_cli(["eta-mu", "--g", "1e4", "--N", "3", "--format", "json"], capsys)
+        code, out, err = run_cli(["eta-mu", "--g", "1e5", "--N", "3", "--format", "json"], capsys)
         assert code == 1
         assert err == ""
         doc = json.loads(out)
@@ -374,9 +374,9 @@ class TestVerify:
 
     def test_oracle_failure_exits_1(self, capsys):
         # a lambda-family potential this close to lambda = 1 (N = 1) has a
-        # well so narrow that the 250- and 500-cell eigenvalues (1.1e18
-        # and 2.8e17) differ by far more than the coarser grid's own
-        # kinetic scale 1/dr^2
+        # well so narrow that even the finest pair, the 4000- and 8000-cell
+        # eigenvalues (4.4e15 and 1.1e15), differ by far more than the
+        # coarser grid's own kinetic scale 1/dr^2
         flags = ["--g", "1.5", "--alpha", "126491106.40658", "--beta", "4.0e15", "--A", "7.0e-9", "--N", "1"]
         code, out, err = run_cli(["verify", *flags], capsys)
         assert code == 1
@@ -404,29 +404,30 @@ class TestVerify:
     def test_small_grid_exits_2(self, capsys):
         code, _, err = run_cli(["verify", *WORKED_FLAGS, "--grid", "8"], capsys)
         assert code == 2
-        assert "64" in err
+        assert "128" in err
 
     def test_coarse_grid_is_unresolved_not_a_wrong_claim(self, capsys):
-        # the worked case is a true claim; capped at 64, 128 or 256 cells
+        # eta-mu at g = 1000 is a true claim; capped at 128 to 1024 cells
         # the oracle's own error estimate is above the tolerance,
-        # 1e-6 / r_max^2 = 8.3e-8 on its domain r_max = 3.46, so the
-        # energy comparison is not made (|E| = 2.6e-5, 1.6e-6 and
-        # 1.01e-7), and from 512 cells on it passes
-        for grid in ("64", "128", "256"):
-            code, out, _ = run_cli(["verify", *WORKED_FLAGS, "--grid", grid, "--format", "json"], capsys)
+        # 1e-6 / r_max^2 = 5.8e-7 on its domain r_max = 1.31, so the
+        # energy comparison is not made (|E - e0| = 2.4, 0.16, 3.3e-4 and
+        # 4.8e-6), and from 2048 cells on it passes
+        claim = ["eta-mu", "--g", "1000", "--N", "3", "--format", "json"]
+        for grid in ("128", "256", "512", "1024"):
+            code, out, _ = run_cli([*claim, "--grid", grid], capsys)
             assert code == 1
             failures = json.loads(out)["verification"]["failures"]
             assert "oracle_unresolved" in failures
             assert "oracle_energy_vs_e0" not in failures
-        code, out, _ = run_cli(["verify", *WORKED_FLAGS, "--grid", "512", "--format", "json"], capsys)
+        code, out, _ = run_cli([*claim, "--grid", "2048"], capsys)
         assert code == 0
         assert json.loads(out)["verification"]["verdict"] == "PASS"
-        # a cap that gives no three-level ladder is a usage error
-        for grid in ("16", "20", "62", "66"):
+        # a cap that gives no four-level ladder is a usage error
+        for grid in ("16", "64", "120", "124", "132"):
             code, out, err = run_cli(["verify", *WORKED_FLAGS, "--grid", grid], capsys)
             assert code == 2
             assert out == ""
-            assert err.splitlines()[-1].endswith(f"argument --grid: must be a multiple of 4 and >= 64, got {grid}")
+            assert err.splitlines()[-1].endswith(f"argument --grid: must be a multiple of 8 and >= 128, got {grid}")
             assert "Traceback" not in err
 
     def test_grid_flag_accepts_exactly_the_ladder_caps(self):
@@ -444,7 +445,7 @@ class TestVerify:
                 accepted = False
             assert accepted == (levels is not None), n
             if levels is not None:
-                assert levels[-1] == n and len(levels) >= 3
+                assert levels[-1] == n and len(levels) >= 4
                 assert all(fine == 2 * coarse for coarse, fine in zip(levels, levels[1:]))
                 assert levels[0] >= sombrero.eigensolver.MIN_GRID_POINTS
 
@@ -702,7 +703,7 @@ class TestEntrypoint:
     def test_warning_prints_as_one_line(self):
         # a domain too short for the worked case: the oracle settles the
         # groundstate of the truncated problem, which is not the claim's
-        proc = run_module(["verify", *WORKED_FLAGS, "--grid", "64", "--rmax", "0.5"])
+        proc = run_module(["verify", *WORKED_FLAGS, "--grid", "128", "--rmax", "0.5"])
         assert proc.returncode == 1
         assert "verification.verdict = FAIL" in proc.stdout
         lines = proc.stderr.splitlines()
