@@ -52,28 +52,6 @@ _AIM_STOP = 64.0
 _AIM_WIDTHS = (1.0, 4.0, 64.0, 1024.0)
 
 
-def _max_skipping_nan(a, initial=0.0) -> float:
-    """max(initial, *a) ignoring NaNs, like a running `if x > best` loop."""
-    return float(np.fmax.reduce(a, initial=initial))
-
-
-def _gershgorin_end(ends, argbest, nanargbest) -> float:
-    """What a running `if x < best` (or `>`) loop over ends keeps.
-
-    It starts from ends[0], which stays if it is NaN; otherwise later NaNs
-    never compare true, and ties keep the first value (so the sign of a
-    zero end is the loop's too).  argbest (np.argmin or np.argmax) stops
-    at the first NaN, so only a NaN pick needs nanargbest's slower pass.
-    """
-    first = ends[0]
-    if math.isnan(first):
-        return float(first)
-    best = ends[argbest(ends)]
-    if math.isnan(best):
-        best = ends[nanargbest(ends)]
-    return float(best)
-
-
 def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
     """Whether some LDL^T pivot of (T - x*I) falls below pivmin.
 
@@ -166,6 +144,7 @@ def _aim_points(lo, hi, x, abs_tol):
 def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
+    d and e*e must be finite (discretize rejects any other matrix).
     Brackets with Gershgorin bounds and bisects on the Sturm count until
     the interval is narrower than abs_tol.  Stops early if the midpoint
     is no longer representable strictly inside the bracket (interval at
@@ -177,7 +156,7 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     |q| < pivmin are floored to -pivmin.  A floored pivot is nonpositive,
     so the answer is yes exactly when some raw q < pivmin, and the probe
     stops there; a floored pivot is thus never fed back into the
-    recurrence.  NaN pivots compare false and never count.
+    recurrence.
 
     The bisection is aimed before it narrows the bracket to the end.
     Secant steps on the twisted gap gamma_k(x) at k = argmin(d) (see
@@ -196,8 +175,8 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     probed only while its answer is not yet known, until one probe has
     answered no and one yes.  The estimate and x change how long the
     bisection takes, never its result.  The computed answer is
-    monotone in the probe point x when d and e*e are finite: for x <= x',
-    fl(d_0 - x) >= fl(d_0 - x'), because round-to-nearest subtraction is
+    monotone in the probe point x: for x <= x', fl(d_0 - x) >=
+    fl(d_0 - x'), because round-to-nearest subtraction is
     monotone in each argument (overflow to infinity included).  If
     q_(i-1)(x) >= q_(i-1)(x') >= pivmin > 0, then with e2_i >= 0,
     fl(e2_i / q_(i-1)(x)) <= fl(e2_i / q_(i-1)(x')), as division by a
@@ -209,31 +188,23 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     the largest point that answered no and the smallest that answered
     yes, and a later mid at or beyond one of them takes the known answer
     without walking the recurrence: the (lo, hi) sequence, and so the
-    result, is bit for bit the one without an aim.  With a NaN or an
-    infinity in d or e*e the argument fails, so the bisection is then
-    not aimed.
+    result, is bit for bit the one without an aim.
     """
     n = d.shape[0]
     if n == 1:
         return float(d[0])
     e2 = e * e
-    pivmin = _SAFMIN * _max_skipping_nan(e2, initial=1.0)
+    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
 
     radius = np.zeros(n)
     radius[1:] = np.abs(e)
     radius[:-1] += np.abs(e)
-    lo = _gershgorin_end(d - radius, np.argmin, np.nanargmin)
-    hi = _gershgorin_end(d + radius, np.argmax, np.nanargmax)
-    if math.isnan(lo) or math.isnan(hi):
-        # a NaN end comes from d_0 or e_0 and no mid is probed.  Which of
-        # two NaN operands a sum passes on is not fixed (numpy's array and
-        # scalar adds differ, and CPython's float add changes once
-        # specialized), so the NaN is the one the plain loop's scalar steps
-        # give: d_0 -+ |e_0|, then the mean of the two ends.  The array
-        # ends above already warned of an invalid value.
-        d0, r0 = d[0], abs(e[0])
-        with np.errstate(invalid="ignore"):
-            return float(0.5 * ((d0 - r0) + (d0 + r0)))
+    # the first extreme end, as a running `if x < lo` (`> hi`) loop keeps
+    # it, so a tie between 0.0 and -0.0 keeps the loop's sign
+    ends = d - radius
+    lo = float(ends[np.argmin(ends)])
+    ends = d + radius
+    hi = float(ends[np.argmax(ends)])
 
     # memoryviews hand out one Python float at a time; a tolist() copy
     # iterates ~15% faster but holds n float objects per array
@@ -243,8 +214,8 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
 
     estimate = math.nan if estimate is None else float(estimate)
     warm = math.isfinite(estimate)
-    aim = bool(np.isfinite(d).all() and np.isfinite(e2).all())
-    k = int(np.argmin(d)) if aim else 0
+    aim = True
+    k = int(np.argmin(d))
     while hi - lo > abs_tol:
         if aim and (warm or hi - lo < _AIM_START * abs_tol):
             aim = False
@@ -294,8 +265,9 @@ def _pivots(shifted, e2, pivmin) -> np.ndarray:
 def eigenvector(d, e, sigma) -> np.ndarray:
     """Unit eigenvector of the symmetric tridiagonal (d, e) for the eigenvalue at sigma.
 
-    One twisted factorization of T - sigma*I (Dhillon 1997; Parlett &
-    Dhillon, Linear Algebra Appl. 309, 2000): the top-down pivots D+ and
+    d and e*e must be finite, as for smallest_eigenvalue.  One twisted
+    factorization of T - sigma*I (Dhillon 1997; Parlett & Dhillon,
+    Linear Algebra Appl. 309, 2000): the top-down pivots D+ and
     the bottom-up pivots D- meet at the twist index k that minimizes
     |gamma_k| = |D+_k + D-_k - (d_k - sigma)|; 1 / gamma_k is the k-th
     diagonal entry of (T - sigma*I)^-1, largest where the eigenvector
@@ -306,11 +278,11 @@ def eigenvector(d, e, sigma) -> np.ndarray:
     pivots used are positive, no entry of x is negative.  The result
     is scaled by its largest entry and then to unit length with a
     running (sequential) sum of squares.  Entries that overflow come
-    back infinite or NaN, which the caller checks for.
+    back non-finite, which the caller checks for.
     """
     shifted = d - sigma
     e2 = e * e
-    pivmin = _SAFMIN * _max_skipping_nan(e2, initial=1.0)
+    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
     down = _pivots(shifted, e2, pivmin)
     up = _pivots(shifted[::-1], e2[::-1], pivmin)[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,6 +290,6 @@ def eigenvector(d, e, sigma) -> np.ndarray:
         x = np.ones(d.shape[0])
         x[:k] = np.cumprod((-e[:k] / down[:k])[::-1])[::-1]
         x[k + 1 :] = np.cumprod(-e[k:] / up[k + 1 :])
-        x /= _max_skipping_nan(np.abs(x))
+        x /= np.max(np.abs(x))
         x /= math.sqrt(float(np.add.accumulate(x * x)[-1]))
     return x

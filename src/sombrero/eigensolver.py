@@ -132,7 +132,10 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     potential is either PotentialParams or a vectorized callable V(r)
     (then n_dim is required); extra_potential, if given, is subtracted
     from V.  Raises ValueError naming the first grid radius where
-    V - extra_potential is NaN or infinite.  Warns when V(r_max) is below
+    V - extra_potential is NaN or infinite, or failing that where a
+    diagonal entry or an off-diagonal entry's square is (the r^(N-1)
+    weights or 1/dr^2 overflow): every operator it returns has the
+    finite d and e*e the kernels require.  Warns when V(r_max) is below
     10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may truncate
     a barely confined state; both terms scale like V under r -> s r, so
     the test does not depend on the choice of units.
@@ -144,22 +147,30 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     dr = grid.spacing
     n = grid.n_points
 
-    v = np.asarray(v_at(r), dtype=float)
-    if extra_potential is not None:
-        v = v - np.asarray(extra_potential(r), dtype=float)
-    _require_finite(v, r)
+    # what overflows is reported by the checks below, not by numpy
+    with np.errstate(all="ignore"):
+        v = np.asarray(v_at(r), dtype=float)
+        if extra_potential is not None:
+            v = v - np.asarray(extra_potential(r), dtype=float)
+        _require_finite(v, r)
 
-    # the r^(N-1) weights enter only as ratios of face to cell radii, in
-    # units of dr, which stay near 1: nothing underflows at any N
-    faces = np.arange(n + 1.0)
-    cells = faces[:-1] + 0.5
-    inner = (faces[:-1] / cells) ** (ndim - 1.0)
-    inner[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
-    outer = (faces[1:] / cells) ** (ndim - 1.0)
-    diag = (inner + outer) / (2.0 * dr * dr) + v
-    off = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0)) / (2.0 * dr * dr)
+        # the r^(N-1) weights enter only as ratios of face to cell radii,
+        # in units of dr, which stay near 1: nothing underflows at any N
+        faces = np.arange(n + 1.0)
+        cells = faces[:-1] + 0.5
+        inner = (faces[:-1] / cells) ** (ndim - 1.0)
+        inner[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
+        outer = (faces[1:] / cells) ** (ndim - 1.0)
+        diag = (inner + outer) / (2.0 * dr * dr) + v
+        off = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0)) / (2.0 * dr * dr)
+        # the kernels take only a finite diag and off * off
+        if not (np.isfinite(diag).all() and np.isfinite(off * off).all()):
+            bad = ~np.isfinite(diag)
+            bad[:-1] |= ~np.isfinite(off * off)
+            j = np.flatnonzero(bad)[0]
+            raise ValueError(f"operator is not finite at r = {r[j]:.9g} (N = {ndim}, dr = {dr:.3g})")
 
-    v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
+        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
     if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
         warnings.warn(
             f"V(r_max={grid.r_max:g}) = {v_edge:.3g} is small; the domain may be "
@@ -214,7 +225,8 @@ def _domain_radius(p: PotentialParams) -> float:
     length = max(p.g**-0.25, math.sqrt(abs(p.alpha)), abs(p.beta) ** 0.25, math.sqrt(abs(p.bigA)))
     dr = 8.0 * length / 1600
     r = dr * np.arange(1, 1601)
-    v = _require_finite(eval_potential(p, r), r)
+    with np.errstate(all="ignore"):  # _require_finite reports what overflows
+        v = _require_finite(eval_potential(p, r), r)
     half_n = 0.5 * p.n_dim
     j = math.sqrt(half_n) * (math.sqrt(half_n + 1.0) + 1.0)
     e_bound = float(np.min(np.maximum.accumulate(v) + 0.5 * j * j / (r * r)))
@@ -271,8 +283,8 @@ def groundstate(
     (E_k after a restart at the second-finest) and reports the size of
     its last Richardson correction as the discretization part of the
     estimate.  Raises ValueError unless n_points is a multiple of 8 and
-    at least 128, and RuntimeError when the vector is not finite or
-    changes sign.
+    at least 128 (and from discretize), and RuntimeError when the energy
+    or the vector is not finite or the vector changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -338,6 +350,9 @@ def groundstate(
         # eigenvalue sits near E_k + (e_(k-1) - e_k) / 12
         estimate = e_fine if len(row) == 1 else row[1] + (rows[-2][0] - e_fine) / 12.0
 
+    energy = rows[-1][-1]
+    if not math.isfinite(energy):
+        raise RuntimeError("groundstate energy is not finite")
     # op is the finest grid's operator, the last one the loop built
     vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)
     if not np.isfinite(vec).all():
@@ -348,10 +363,11 @@ def groundstate(
     grid = op.grid
     r = grid.points
     dr = grid.spacing
-    psi = vec / r ** ((ndim - 1.0) / 2.0)
+    # entries of vec that underflow to 0 stay 0 where r^((N-1)/2) does too
+    psi = np.divide(vec, r ** ((ndim - 1.0) / 2.0), out=np.zeros_like(vec), where=vec != 0.0)
     psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
     return EigenResult(
-        energy=rows[-1][-1],
+        energy=energy,
         vector=psi,
         grid=grid,
         richardson_pair=(rows[-2][0], e_fine),

@@ -639,6 +639,12 @@ class TestLibraryErrors:
             ["from-lambda", "--g", "1e-320", "--lambda", "1.5", "--N", "3"],
             # the eta cubic's coefficients overflow to infinity
             ["from-lambda", "--g", "1", "--lambda", "1e308", "--N", "9"],
+            # 1/dr^2 squared overflows in the oracle's off-diagonal
+            ["verify", *WORKED_FLAGS, "--rmax", "1e-80"],
+            # the flux weight 2^(N-1) of the first cell overflows
+            ["eta-mu", "--g", "1", "--N", "1100"],
+            # V overflows on the automatic domain's samples
+            ["verify", "--g", "1e154", "--alpha", "1", "--beta", "1", "--A", "1", "--N", "3"],
         ],
     )
     def test_reported_in_one_line(self, argv, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -111,6 +112,26 @@ class TestDiscretize:
         # grid: (12 + 1/2) * 8/32
         with pytest.raises(ValueError, match=r"not finite at r = 3\.125"):
             groundstate(v, n_dim=3, r_max=8.0, n_points=256)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n_dim=st.integers(1, 5000),
+        r_max=st.one_of(st.sampled_from([1e-300, 1e150]), st.floats(-300.0, 150.0).map(lambda x: 10.0**x)),
+        n=st.sampled_from([16, 128, 8000]),
+    )
+    def test_returns_only_what_the_kernels_take(self, n_dim, r_max, n):
+        # a finite diag and off * off, or a ValueError naming a radius,
+        # with no overflow escaping as a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", GridExtentWarning)
+            try:
+                op = discretize(lambda r: 0.5 * r * r, grid=RadialGrid.make(r_max, n), n_dim=n_dim)
+            except ValueError as exc:
+                assert re.search(r"not finite at r = \d", str(exc)), exc
+                return
+        with np.errstate(over="ignore"):
+            assert np.isfinite(op.diag).all() and np.isfinite(op.off_diag * op.off_diag).all()
 
     def test_requires_grid_and_dimension(self, worked_potential):
         with pytest.raises(ValueError, match="RadialGrid"):
@@ -366,10 +387,11 @@ class TestVerifySolution:
         assert report.energy_error > eigensolver.TOL_ENERGY / eigensolver._domain_radius(sol.potential) ** 2
         assert report.similarity > 1.0 - eigensolver.TOL_SIMILARITY
 
-    @pytest.mark.parametrize("n_dim", [49, 60])
+    @pytest.mark.parametrize("n_dim", [49, 60, 200])
     def test_high_dimension_passes(self, n_dim):
         # r^(N-1) underflows near r = 0 from N = 49 on; the operator only
-        # raises ratios of radii to that power, so nothing divides by zero
+        # raises ratios of radii to that power, and the vector's entries
+        # that underflow there too (from about N = 200 on) stay zero in psi
         sol = params_from_lambda(1.5, 1.5, solve_eta(1.5, n_dim)[0], n_dim)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -553,6 +575,12 @@ class TestStages:
         monkeypatch.setattr(_kernels, "eigenvector", lambda *args: spoil(eigenvector(*args)))
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             groundstate(worked_potential, r_max=r_max, n_points=2000)
+
+    def test_non_finite_energy_raises(self):
+        # V = 1e308 leaves the operator finite, but the bisection's
+        # midpoint, the mean of two ends near 1e308, overflows
+        with pytest.warns(GridExtentWarning), pytest.raises(RuntimeError, match="^groundstate energy is not finite$"):
+            groundstate(lambda r: 1e308 + 0.0 * r, r_max=1.0, n_dim=1, n_points=128)
 
 
 class TestPinnedAnswers:

@@ -1,7 +1,6 @@
 """Tridiagonal kernels against scipy and dense numpy references, and
 bit for bit against a plain element-by-element loop version."""
 
-import itertools
 import math
 
 import numpy as np
@@ -95,7 +94,7 @@ def estimates(d, e, ref, visited, rng):
     bracket, at random, non-finite, and at mids the bisection visits and
     one ulp either side of them."""
     entries = np.concatenate([d, e])
-    reach = 1.0 + 3.0 * float(np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0))
+    reach = 1.0 + 3.0 * float(np.max(np.abs(entries)))
     points = [
         ref,
         np.nextafter(ref, -math.inf),
@@ -208,29 +207,6 @@ class TestMatchesLoopReference:
         assert_same_bits(np.array([-0.0, 0.0, -0.0]), np.array([-0.0, 0.0]), 1e-12)
         assert_same_bits(np.array([4.2]), np.zeros(0), 1e-13)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries(self, bad):
-        rng = np.random.default_rng(79)
-        for pos in (0, 1, 5, 9):
-            d = rng.uniform(1.0, 5.0, 10)
-            e = rng.uniform(-1.0, 1.0, 9)
-            d_bad = d.copy()
-            d_bad[pos] = bad
-            assert_same_bits(d_bad, e, 1e-12)
-            e_bad = e.copy()
-            e_bad[min(pos, 8)] = bad
-            assert_same_bits(d, e_bad, 1e-12)
-
-    def test_nan_ends_take_the_loops_nan(self):
-        # with NaN in d_0 and e_0 both Gershgorin ends are NaN, and which
-        # NaN a sum of two passes on differs between numpy's array and
-        # scalar adds and CPython's specialized float add; assert_same_bits
-        # calls the kernel often enough for the specialized add to run
-        vals = (math.nan, -math.nan, math.inf, -math.inf, 1.0)
-        for n in (2, 3):
-            for entries in itertools.product(vals, repeat=2 * n - 1):
-                assert_same_bits(np.array(entries[:n]), np.array(entries[n:]), 1e-9)
-
     @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
                              ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
     def test_aimed_oracle_bisections(self, solve):
@@ -282,13 +258,17 @@ class TestMatchesLoopReference:
     @given(data=st.data())
     def test_estimate_never_changes_the_eigenvalue(self, data):
         n = data.draw(st.integers(1, 12), label="n")
-        entry = st.one_of(
-            st.floats(-1e3, 1e3),
-            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300]),
-            st.floats(allow_nan=True, allow_infinity=True),
-        )
-        d = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d"))
-        e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
+
+        def entry(bound):
+            # finite d and e * e, as discretize guarantees
+            return st.one_of(
+                st.floats(-1e3, 1e3),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, bound, -bound]),
+                st.floats(-bound, bound),
+            )
+
+        d = np.array(data.draw(st.lists(entry(1e300), min_size=n, max_size=n), label="d"))
+        e = np.array(data.draw(st.lists(entry(1e150), min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
         tol = data.draw(st.sampled_from([1e-13, 1e-9, 1e-3]), label="tol")
         visited = []
         with np.errstate(all="ignore"):
@@ -375,15 +355,6 @@ def loop_last_pivot(x, d, e2, pivmin):
     return q
 
 
-def loop_best(ends, better):
-    """Reference: what a running `if better(x, best)` loop over ends keeps."""
-    best = ends[0]
-    for x in ends[1:]:
-        if better(x, best):
-            best = x
-    return best
-
-
 def walk_inputs():
     """(d, e, shifts) that cover floored zero pivots, signed zeros and
     non-finite entries."""
@@ -410,13 +381,13 @@ def walk_inputs():
 
 
 class TestWalksMatchLoopReference:
-    """The pivot walks and the Gershgorin pick are bit for bit their plain
-    index-loop definitions."""
+    """The pivot walks are bit for bit their plain index-loop definitions."""
 
     def test_pivots_and_last_pivot(self):
         for d, e, shifts in walk_inputs():
             e2 = e * e
-            pivmin = _kernels._SAFMIN * _kernels._max_skipping_nan(e2, initial=1.0)
+            # the walks take any pivmin; this one skips the NaNs in e2
+            pivmin = _kernels._SAFMIN * float(np.fmax.reduce(e2, initial=1.0))
             for x in shifts:
                 with np.errstate(all="ignore"):
                     shifted = d - x
@@ -429,36 +400,6 @@ class TestWalksMatchLoopReference:
                         got = _kernels._last_pivot(x, memoryview(dd), memoryview(ee), pivmin)
                     ref = loop_last_pivot(x, dd, ee, pivmin)
                     assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d, e, x)
-
-    def test_gershgorin_end(self):
-        rng = np.random.default_rng(97)
-        cases = [
-            np.array([math.nan, -1.0, 2.0]),
-            np.array([1.0, math.nan, -1.0, 2.0]),
-            np.array([1.0, -1.0, math.nan, 2.0, -3.0]),
-            np.array([1.0, math.nan, math.nan]),
-            np.array([0.0, -0.0, 1.0]),
-            np.array([-0.0, 0.0, -1.0]),
-            np.array([0.0, -0.0]),
-            np.array([-0.0, 0.0]),
-            np.array([2.0, -0.0, 0.0, 2.0]),
-            np.array([math.inf, -math.inf, math.nan]),
-            np.array([-math.inf, math.inf]),
-            np.array([3.0]),
-        ]
-        for _ in range(50):
-            ends = rng.choice([-1.0, -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf], int(rng.integers(1, 12)))
-            cases.append(ends)
-            cases.append(rng.uniform(-5.0, 5.0, 30))
-        for ends in cases:
-            for argbest, nanargbest, better in [
-                (np.argmin, np.nanargmin, lambda x, best: x < best),
-                (np.argmax, np.nanargmax, lambda x, best: x > best),
-            ]:
-                with np.errstate(all="ignore"):
-                    got = _kernels._gershgorin_end(ends, argbest, nanargbest)
-                ref = loop_best(ends, better)
-                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), ends
 
 
 class TestSmallestEigenvalue:
