@@ -26,10 +26,19 @@ monotone in the probe point, so a known answer only lets the bisection
 skip a probe; the bisection's own sequence of brackets, and so its
 result, stays bit for bit the one without an estimate (see
 smallest_eigenvalue).
+
+On a domain much wider than the state, most of each walk runs through
+rows where the state has long decayed.  Once aimed, the walks stop
+there: the aim's gamma_k walks start where the decay from the turning
+point has gone deep enough that the rest moves their root by well
+under abs_tol, and a probe whose pivot at that row is at or above a
+bound answers no at once, which a dominance margin on every later row,
+computed with the probe's own rounding, proves the full walk's answer.
+Every walk reads d - x from one buffer that numpy fills with the
+subtraction a Python float would make.
 """
 
 import math
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -52,45 +61,52 @@ _AIM_STOP = 64.0
 _AIM_WIDTHS = (1.0, 4.0, 64.0, 1024.0)
 
 
-def _pivot_below(x, d0, d_rest, e2, pivmin) -> bool:
-    """Whether some LDL^T pivot of (T - x*I) falls below pivmin.
+def _pivot_below(shifted, e2, pivmin, bound=math.inf, shifted_tail=(), e2_tail=()) -> bool:
+    """Whether some LDL^T pivot of a shifted tridiagonal falls below pivmin.
 
-    Walks q_0 = d_0 - x, q_i = (d_i - x) - e2_i / q_(i-1) and stops at
-    the first q_i < pivmin, so a pivot under the floor is never divided by.
+    Walks q_i = shifted_i - e2_i / q_(i-1) from q_(-1) = 1, over shifted
+    and e2, then on over shifted_tail and e2_tail, and stops at the first
+    q_i < pivmin, so a pivot under the floor is never divided by.  e2_i
+    couples row i to the row above it, so the walk's first e2 is 0.
+    Between the two parts it answers no once the pivot is at or above
+    bound, which smallest_eigenvalue passes only where that is the answer
+    of the walk to the end (see there).
     """
-    q = d0 - x
-    if q < pivmin:
-        return True
-    for di, e2i in zip(d_rest, e2):
-        q = di - x - e2i / q
-        if q < pivmin:
-            return True
+    q = 1.0
+    for rows in (zip(shifted, e2), zip(shifted_tail, e2_tail)):
+        for si, e2i in rows:
+            q = si - e2i / q
+            if q < pivmin:
+                return True
+        if q >= bound:
+            return False
     return False
 
 
-def _last_pivot(x, d, e2, pivmin) -> float:
-    """Last pivot of the walk _pivots makes over d - x, floored the same way."""
+def _last_pivot(shifted, e2, pivmin) -> float:
+    """Last pivot of _pivots(shifted, e2, pivmin), over memoryviews."""
     q, floor = 1.0, -pivmin
-    for di, e2i in zip(d, chain((0.0,), e2)):
-        q = di - x - e2i / q
-        if floor < q < pivmin:
+    for si, e2i in zip(shifted, chain((0.0,), e2)):
+        q = si - e2i / q
+        if q < pivmin and q > floor:
             q = floor
     return q
 
 
-def _twisted_gap(x, d, e2, k, pivmin) -> float:
-    """gamma_k(x) = (d_k - x) - e2_(k-1) / D+_(k-1) - e2_k / D-_(k+1).
+def _twisted_gap(shifted, e2, k, pivmin) -> float:
+    """gamma_k = shifted_k - e2_(k-1) / D+_(k-1) - e2_k / D-_(k+1).
 
-    The twisted factorization's gap at index k (see eigenvector), from a
-    top-down walk to k - 1 and a bottom-up walk to k + 1 over the
-    memoryviews d and e2; it is 1 / [(T - x*I)^-1]_kk, so it vanishes at
-    an eigenvalue and is near linear in x close to one.
+    The twisted factorization's gap at index k (see eigenvector) of the
+    tridiagonal with diagonal shifted = d - x and squared off-diagonal
+    e2, from a top-down walk to k - 1 and a bottom-up walk to k + 1 over
+    memoryviews; it is 1 / [(T - x*I)^-1]_kk, so as a function of x it
+    vanishes at an eigenvalue and is near linear close to one.
     """
-    gap = d[k] - x
+    gap = shifted[k]
     if k > 0:
-        gap -= e2[k - 1] / _last_pivot(x, d[:k], e2[: k - 1], pivmin)
-    if k < len(d) - 1:
-        gap -= e2[k] / _last_pivot(x, d[:k:-1], e2[:k:-1], pivmin)
+        gap -= e2[k - 1] / _last_pivot(shifted[:k], e2[: k - 1], pivmin)
+    if k < len(shifted) - 1:
+        gap -= e2[k] / _last_pivot(shifted[:k:-1], e2[:k:-1], pivmin)
     return gap
 
 
@@ -141,6 +157,33 @@ def _aim_points(lo, hi, x, abs_tol):
         yield _final_bracket(lo, hi, x + w * abs_tol, abs_tol)[1]
 
 
+def _tail(d, e2, abs_e, radius, lower, pivmin, x, reach):
+    """The row s where the walks of T - x*I may stop, and what stopping needs.
+
+    The turning point t is the last row whose Gershgorin disc reaches
+    down to x (its lower end in lower; n - 1, so no tail, when none
+    does).  Summed outward from t, the decay exponents
+    acosh((d_i - x) / radius_i) first reach reach at row s.  One numpy
+    pass over the rows past t returns s, the least margin m_i of the
+    rows past s, and s's pivot bound b_s (see smallest_eigenvalue); or
+    n - 1, -inf and inf when the sum stays short of reach before the
+    last row.  e2 is led by a 0, as the probes take it.  d - x may
+    overflow, and a zero radius divide, under the caller's errstate.
+    """
+    n = d.shape[0]
+    t = n - 1 - int(np.argmax(lower[::-1] <= x))
+    decay = (d[t + 1 :] - x) / radius[t + 1 :]
+    s = t + 1 + int(np.searchsorted(np.cumsum(np.arccosh(decay, out=decay), out=decay), reach))
+    if s >= n - 1:
+        return n - 1, -math.inf, math.inf
+    b = np.maximum(abs_e[s:], pivmin)
+    need = e2[s + 1 :] / b
+    need[:-1] += b[1:]
+    need[-1] += pivmin
+    margin = np.nextafter(d[s + 1 :] - np.nextafter(need, math.inf), -math.inf)
+    return s, float(margin.min()), float(b[0])
+
+
 def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
@@ -189,57 +232,108 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     yes, and a later mid at or beyond one of them takes the known answer
     without walking the recurrence: the (lo, hi) sequence, and so the
     result, is bit for bit the one without an aim.
+
+    The aim also cuts the walks short in the matrix's tail, where the
+    state has long decayed (_tail, at the upper of the secant's two
+    starting points).  Summed outward from the turning point, the decay
+    exponents acosh((d_i - x) / radius_i) reach R = ln(_AIM_STOP
+    max(|e|, 1) / abs_tol) / 2 at a row s.  The gamma_k walks start at row
+    max(s, k + 1), as if the matrix ended there; that moves gamma_k's
+    root by about max|e| e^(-2R) = abs_tol / _AIM_STOP, which like the
+    rest of the aim changes only how many probes the bisection makes.
+    A probe at a point x at or below x_cut stops at row s with "no" if
+    its pivot q_s is at or above b_s, and that is the answer of the
+    walk to the end.  With e2_i = e_(i-1)^2 as the walk takes it, let
+    b_i = max(|e_i|, pivmin) (b_(n-1) = pivmin), c_i =
+    fl(e2_i / b_(i-1)), need_i = succ(fl(c_i + b_i)) and margin m_i =
+    pred(fl(d_i - need_i)), where succ and pred step to the next float
+    up and down, so that need_i >= c_i + b_i and m_i <= d_i - need_i
+    exactly (a rounded value's two neighbours bracket the exact one);
+    x_cut is the least m_i over i > s.  If q_(i-1) >= b_(i-1) > 0 and
+    x <= m_i, then fl(e2_i / q_(i-1)) <= c_i, division by a positive
+    number being monotone (and the quotient 0 for an infinite pivot);
+    d_i - x >= need_i, so fl(d_i - x) >= need_i as need_i is a float;
+    their difference is at least need_i - c_i >= b_i, and so is its
+    rounding q_i, b_i being a float.  By induction from q_s >= b_s,
+    every later pivot is at least its b_i >= pivmin: no pivot past s
+    falls under the floor, and the walk's boolean is the full walk's.
     """
     n = d.shape[0]
     if n == 1:
         return float(d[0])
-    e2 = e * e
-    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
+    # e2[i] = e_(i-1)^2 couples row i to the row above it; e2[0] = 0
+    e2 = np.zeros(n)
+    np.multiply(e, e, out=e2[1:])
+    e2_max = float(np.max(e2, initial=1.0))
+    pivmin = _SAFMIN * e2_max
 
+    abs_e = np.abs(e)
     radius = np.zeros(n)
-    radius[1:] = np.abs(e)
-    radius[:-1] += np.abs(e)
+    radius[1:] = abs_e
+    radius[:-1] += abs_e
     # the first extreme end, as a running `if x < lo` (`> hi`) loop keeps
     # it, so a tie between 0.0 and -0.0 keeps the loop's sign
-    ends = d - radius
-    lo = float(ends[np.argmin(ends)])
-    ends = d + radius
-    hi = float(ends[np.argmax(ends)])
+    lower, upper = d - radius, d + radius
+    lo = float(lower[np.argmin(lower)])
+    hi = float(upper[np.argmax(upper)])
 
-    # memoryviews hand out one Python float at a time; a tolist() copy
-    # iterates ~15% faster but holds n float objects per array
-    dv, e2v = memoryview(d), memoryview(e2)
-    args = (float(d[0]), dv[1:], e2v, pivmin)
+    # each walk reads d - x from one buffer, which numpy fills with the
+    # subtraction a Python float would do; memoryviews hand out one
+    # Python float at a time (a tolist() copy iterates ~15% faster but
+    # holds n float objects per array)
+    shifted = np.empty(n)
+    sv, e2v = memoryview(shifted), memoryview(e2)
+    walk = (sv, e2v, pivmin)
+    # until the aim: no probe stops at the tail, and gamma_k walks it all
+    x_cut, cut = -math.inf, walk
+    k = int(np.argmin(d))
+    gap_args = (sv, e2v[1:], k, pivmin)
+
+    def pivot_below(x):
+        np.subtract(d, x, out=shifted)
+        return _pivot_below(*(cut if x <= x_cut else walk))
+
+    def gap(x):
+        np.subtract(d, x, out=shifted)
+        return _twisted_gap(*gap_args)
+
     known_no, known_yes = -math.inf, math.inf
-
     estimate = math.nan if estimate is None else float(estimate)
     warm = math.isfinite(estimate)
     aim = True
-    k = int(np.argmin(d))
-    while hi - lo > abs_tol:
-        if aim and (warm or hi - lo < _AIM_START * abs_tol):
-            aim = False
-            spread = _AIM_SPREAD * abs_tol
-            start = (estimate - spread, estimate + spread) if warm else (lo, hi)
-            gap = partial(_twisted_gap, d=dv, e2=e2v, k=k, pivmin=pivmin)
-            x = _secant_root(gap, *start, _AIM_STOP * abs_tol)
-            points = _aim_points(lo, hi, x, abs_tol) if math.isfinite(x) else ()
-            for point in points:
-                # only a point strictly between the known answers adds one
-                if known_no < point < known_yes:
-                    if _pivot_below(point, *args):
-                        known_yes = point
-                    else:
-                        known_no = point
-                if -math.inf < known_no and known_yes < math.inf:
-                    break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mid >= known_yes or (mid > known_no and _pivot_below(mid, *args)):
-            hi = mid
-        else:
-            lo = mid
+    # numpy's d - x overflows where a Python float subtraction would, to
+    # the same infinity, and _tail's decay ratio divides by a zero radius
+    with np.errstate(divide="ignore", over="ignore"):
+        while hi - lo > abs_tol:
+            if aim and (warm or hi - lo < _AIM_START * abs_tol):
+                aim = False
+                spread = _AIM_SPREAD * abs_tol
+                start = (estimate - spread, estimate + spread) if warm else (lo, hi)
+                # a tail this far past the turning point moves gamma_k's
+                # root by about max|e| e^(-2 reach) = abs_tol / _AIM_STOP
+                reach = 0.5 * math.log(_AIM_STOP * math.sqrt(e2_max) / abs_tol) if abs_tol > 0.0 else math.inf
+                s, x_cut, bound = _tail(d, e2, abs_e, radius, lower, pivmin, start[1], reach)
+                cut = (sv[: s + 1], e2v[: s + 1], pivmin, bound, sv[s + 1 :], e2v[s + 1 :])
+                top = max(s, k + 1)
+                gap_args = (sv[: top + 1], e2v[1 : top + 1], k, pivmin)
+                x = _secant_root(gap, *start, _AIM_STOP * abs_tol)
+                points = _aim_points(lo, hi, x, abs_tol) if math.isfinite(x) else ()
+                for point in points:
+                    # only a point strictly between the known answers adds one
+                    if known_no < point < known_yes:
+                        if pivot_below(point):
+                            known_yes = point
+                        else:
+                            known_no = point
+                    if -math.inf < known_no and known_yes < math.inf:
+                        break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if mid >= known_yes or (mid > known_no and pivot_below(mid)):
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -256,7 +350,7 @@ def _pivots(shifted, e2, pivmin) -> np.ndarray:
     q, floor = 1.0, -pivmin
     for si, e2i in zip(memoryview(shifted), chain((0.0,), memoryview(e2))):
         q = si - e2i / q
-        if floor < q < pivmin:
+        if q < pivmin and q > floor:
             q = floor
         append(q)
     return np.array(out, dtype=float)

@@ -283,8 +283,9 @@ def groundstate(
     (E_k after a restart at the second-finest) and reports the size of
     its last Richardson correction as the discretization part of the
     estimate.  Raises ValueError unless n_points is a multiple of 8 and
-    at least 128 (and from discretize), and RuntimeError when the energy
-    or the vector is not finite or the vector changes sign.
+    at least 128 and 1/r_max^2, the unit of every energy threshold, is
+    finite and nonzero (and from discretize), and RuntimeError when the
+    energy or the vector is not finite or the vector changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -304,7 +305,10 @@ def groundstate(
         r_max = _domain_radius(potential)
     r_max = float(r_max)
 
-    unit = 1.0 / r_max**2
+    square = r_max * r_max
+    unit = 1.0 / square if square > 0.0 else math.inf
+    if not 0.0 < unit < math.inf:
+        raise ValueError(f"r_max must have a finite, nonzero 1/r_max^2, got {r_max:g}")
     target = _LADDER_TARGET * unit
     bisect_tol = target / 100.0
     # per level since the last restart, coarsest first: [e_k, E_k, E2_k],

@@ -1,11 +1,12 @@
-"""Shared fixtures: the exact N=3, g=1.5 zero-energy reference case."""
+"""Shared fixtures: the exact N=3, g=1.5 zero-energy reference case, and
+a log of the rows the kernels' walks take."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sombrero import PotentialParams
+from sombrero import PotentialParams, _kernels
 
 SQRT3 = math.sqrt(3.0)
 
@@ -25,3 +26,42 @@ def random_potential(rng: np.random.Generator) -> PotentialParams:
         bigA=rng.uniform(-2.0, 3.0),
         n_dim=int(rng.choice([1, 2, 3, 5])),
     )
+
+
+class _Counted:
+    """An iterable over rows that counts the rows taken from it."""
+
+    def __init__(self, rows):
+        self.rows, self.taken = rows, 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.taken += 1
+            yield row
+
+
+def log_walks(monkeypatch) -> list:
+    """Log each Sturm probe and gamma_k walk the kernels make.
+
+    Appends (kind, rows walked): kind "yes" or "no" for a probe's answer,
+    "no at tail" for a no that stopped short of the last row, and "gamma"
+    for one top-down or bottom-up walk of gamma_k.
+    """
+    log = []
+    pivot_below, last_pivot = _kernels._pivot_below, _kernels._last_pivot
+
+    def counted_pivot_below(shifted, e2, pivmin, bound=math.inf, shifted_tail=(), e2_tail=()):
+        head, tail = _Counted(shifted), _Counted(shifted_tail)
+        answer = pivot_below(head, e2, pivmin, bound, tail, e2_tail)
+        rows = head.taken + tail.taken
+        kind = "yes" if answer else "no" if rows == len(shifted) + len(shifted_tail) else "no at tail"
+        log.append((kind, rows))
+        return answer
+
+    def counted_last_pivot(shifted, e2, pivmin):
+        log.append(("gamma", len(shifted)))
+        return last_pivot(shifted, e2, pivmin)
+
+    monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
+    monkeypatch.setattr(_kernels, "_last_pivot", counted_last_pivot)
+    return log

@@ -641,6 +641,9 @@ class TestLibraryErrors:
             ["from-lambda", "--g", "1", "--lambda", "1e308", "--N", "9"],
             # 1/dr^2 squared overflows in the oracle's off-diagonal
             ["verify", *WORKED_FLAGS, "--rmax", "1e-80"],
+            # r_max^2 overflows, and underflows to 0: no energy unit 1/r_max^2
+            ["verify", *WORKED_FLAGS, "--rmax", "1e200"],
+            ["verify", *WORKED_FLAGS, "--rmax", "1e-300"],
             # the flux weight 2^(N-1) of the first cell overflows
             ["eta-mu", "--g", "1", "--N", "1100"],
             # V overflows on the automatic domain's samples

@@ -29,7 +29,7 @@ from sombrero import (
     verify_solution,
 )
 from sombrero import _kernels, eigensolver
-from conftest import random_potential
+from conftest import log_walks, random_potential
 
 
 # |E - truth| <= ESTIMATE_FACTOR * error_estimate on closed-form cases;
@@ -363,6 +363,12 @@ class TestDomainHandling:
         with pytest.raises(ValueError, match="n_dim"):
             groundstate(lambda r: 0.5 * r * r)
 
+    @pytest.mark.parametrize("r_max", [1e200, 1e-300, -1e200, math.nan])
+    def test_rejects_a_domain_without_an_energy_unit(self, worked_potential, r_max):
+        # 1/r_max^2 is 0 or infinite, or r_max^2 overflows
+        with pytest.raises(ValueError, match="^r_max must have a finite, nonzero 1/r_max\\^2"):
+            groundstate(worked_potential, r_max=r_max)
+
 
 class TestVerifySolution:
     def test_reference_case_passes(self, worked_potential):
@@ -554,6 +560,36 @@ class TestStages:
         counts.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
         assert counts == [[30, 4], [2, 5], [2, 3], [2, 3]]
+
+    def test_aimed_bisection_rows_walked(self, worked_potential, monkeypatch):
+        # counts, not timings: (rows the Sturm probes walk, rows the gamma_k
+        # walks take) per ladder level, for the probes counted above.
+        # Walking each probe to its yes or to the last row, and gamma_k's
+        # bottom-up walk from the last row, the levels took [[1916, 620],
+        # [449, 996], [899, 1497], [1792, 2997]] on the automatic domain
+        # and [[1206, 496], [338, 1245], [676, 1497], [1349, 2997]] on
+        # r_max = 8, whose tail is far longer
+        log = log_walks(monkeypatch)
+        starts = []
+        smallest_eigenvalue = _kernels.smallest_eigenvalue
+
+        def per_level(*args):
+            starts.append(len(log))
+            return smallest_eigenvalue(*args)
+
+        def rows_per_level():
+            ends = starts[1:] + [len(log)]
+            levels = [log[a:b] for a, b in zip(starts, ends)]
+            log.clear()
+            starts.clear()
+            return [[sum(r for kind, r in level if kind != "gamma"), sum(r for kind, r in level if kind == "gamma")]
+                    for level in levels]
+
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
+        groundstate(worked_potential)
+        assert rows_per_level() == [[1898, 530], [413, 852], [830, 1290], [1659, 2598]]
+        groundstate(worked_potential, r_max=8.0, n_points=2000)
+        assert rows_per_level() == [[1128, 184], [181, 460], [363, 558], [725, 1125]]
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sombrero import PotentialParams, RadialGrid, _kernels, derive_trial, discretize, groundstate, trial_split
-from conftest import SQRT3, random_potential
+from conftest import SQRT3, log_walks, random_potential
 
 
 def random_tridiagonal(rng, n):
@@ -111,13 +111,13 @@ def estimates(d, e, ref, visited, rng):
     return points
 
 
-def assert_same_bits(d, e, tol, estimates_seed=0):
+def assert_same_bits(d, e, tol, estimates_seed=0, also=()):
     with np.errstate(all="ignore"):
         got = _kernels.smallest_eigenvalue(d, e, tol)
         visited = []
         ref = loop_smallest_eigenvalue(d, e, tol, visited)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
-        for estimate in estimates(d, e, float(ref), visited, np.random.default_rng(estimates_seed)):
+        for estimate in [*estimates(d, e, float(ref), visited, np.random.default_rng(estimates_seed)), *also]:
             aimed = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             assert np.float64(aimed).tobytes() == np.float64(ref).tobytes(), estimate
 
@@ -154,7 +154,9 @@ def aimed_gap(d, e, x):
     """gamma_k(x) at the index k = argmin(d) that smallest_eigenvalue aims with."""
     e2 = e * e
     pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
-    return _kernels._twisted_gap(x, memoryview(d), memoryview(e2), int(np.argmin(d)), pivmin)
+    with np.errstate(over="ignore"):
+        shifted = d - x
+    return _kernels._twisted_gap(memoryview(shifted), memoryview(e2), int(np.argmin(d)), pivmin)
 
 
 def _worked_case():
@@ -187,6 +189,74 @@ def random_matrices():
         yield d, e, 10 ** rng.uniform(-14, -8)
 
 
+def dominance_margin(d, e, i):
+    """Row i's margin as smallest_eigenvalue defines it, from its terms:
+    pred(fl(d_i - succ(fl(fl(e_(i-1)^2 / b_(i-1)) + b_i)))), with
+    b_j = max(|e_j|, pivmin) and b_(n-1) = pivmin."""
+    e2 = e * e
+    pivmin = _kernels._SAFMIN * float(np.max(e2, initial=1.0))
+    b_above = max(abs(e[i - 1]), pivmin)
+    b = max(abs(e[i]), pivmin) if i < e.size else pivmin
+    need = np.nextafter(e2[i - 1] / b_above + b, math.inf)
+    return float(np.nextafter(d[i] - need, -math.inf))
+
+
+def wall_matrices():
+    """(d, e, abs_tol, estimate) of 60 matrices like a discretized
+    confining potential over six decades of scale: a well in the first
+    rows and a wall rising to the last, through which the state decays
+    far below abs_tol, so that the walks stop at the tail.  Couplings
+    vary, every third matrix has both signs and every seventh zero
+    couplings in the wall.  Every third also has one row near the end
+    whose dominance margin is the bisection's last probe point, or one
+    float below or above it, and an estimate that starts the secant
+    below that point, so that the probe meets the margin; the others
+    have no estimate."""
+    rng = np.random.default_rng(97)
+    for k in range(60):
+        n = int(rng.integers(40, 400))
+        h = 1.0 / n
+        r = (np.arange(n) + rng.uniform(0.0, 1.0)) * h - rng.uniform(0.0, 0.2)
+        v = rng.uniform(1e4, 1e6) * np.abs(r) ** int(rng.choice([2, 4, 8])) + rng.uniform(1e3, 1e4) * r * r
+        e = -0.5 / h**2 * rng.uniform(0.5, 1.5, n - 1)
+        if k % 3 == 1:
+            e *= rng.choice([-1.0, 1.0], n - 1)
+        if k % 7 == 0:
+            j = int(rng.integers(n // 2, n - 2))
+            e[j : j + 2] = 0.0
+        # every Gershgorin disc starts at v; the wall's top holds the upper end
+        d = v + np.abs(np.concatenate(([0.0], e))) + np.abs(np.concatenate((e, [0.0])))
+        d[-1] += 10.0 / h**2
+        scale = 10 ** rng.uniform(-3, 3)
+        d, e = d * scale, e * scale
+        tol = scale * 10 ** rng.uniform(-16, -12) / h**2
+        estimate = None
+        if k % 3 == 2:
+            visited = []
+            loop_smallest_eigenvalue(d, e, tol, visited)
+            p = visited[-1]
+            target = [p, float(np.nextafter(p, -math.inf)), float(np.nextafter(p, math.inf))][k // 3 % 3]
+            i = n - 1 - int(rng.integers(2, 5))
+            # couplings small enough that d_i - need_i stays in p's binade,
+            # where row i's margin can land on every float near p
+            for size in (0.1, 0.01, 1e-3, 1e-4):
+                e[i - 1 : i + 1] = np.copysign(abs(p) * size * rng.uniform(0.5, 1.0, 2), e[i - 1 : i + 1])
+                d[i] = target - dominance_margin(np.zeros(n), e, i)
+                for _ in range(8):
+                    margin = dominance_margin(d, e, i)
+                    if margin == target:
+                        break
+                    d[i] = np.nextafter(d[i], math.inf if margin < target else -math.inf)
+                if margin == target:
+                    break
+            assert margin == target
+            placed = []
+            loop_smallest_eigenvalue(d, e, tol, placed)
+            assert placed == visited  # the row moved no probe point
+            estimate = p - 2.0 * _kernels._AIM_SPREAD * tol
+        yield d, e, tol, estimate
+
+
 class TestMatchesLoopReference:
     """The bisection performs the loop version's IEEE-754 operations in
     the same order, so every result is identical to the last bit, whatever
@@ -196,10 +266,23 @@ class TestMatchesLoopReference:
         for k, (d, e, tol) in enumerate(random_matrices()):
             assert_same_bits(d, e, tol, estimates_seed=k)
 
+    def test_wall_matrices(self, monkeypatch):
+        # the walks stop at the tail, and some probes meet a margin at,
+        # or one float either side of, their point
+        log = log_walks(monkeypatch)
+        for k, (d, e, tol, estimate) in enumerate(wall_matrices()):
+            assert_same_bits(d, e, tol, estimates_seed=k, also=[estimate])
+        assert any(kind == "no at tail" for kind, _ in log)
+
     @pytest.mark.parametrize("n", [2, 3, 17, 300])
     def test_degenerate_constant_matrix(self, n):
         d, e = degenerate_constant_matrix(n)
         assert_same_bits(d, e, 1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 5e-324, math.inf, math.nan])
+    def test_tolerance_at_the_ends(self, tol):
+        d, e = degenerate_constant_matrix(17)
+        assert_same_bits(d, e, tol)
 
     def test_zero_pivots_and_signed_zeros(self):
         assert_same_bits(np.ones(3), np.zeros(2), 1e-12)
@@ -330,6 +413,64 @@ class TestEstimateNeverChangesResult:
             if d.size > 1:  # a 1x1 matrix is its own eigenvalue
                 self.assert_same_bits(monkeypatch, d, e, tol)
 
+    def test_wall_matrices(self, monkeypatch):
+        log = log_walks(monkeypatch)
+        for d, e, tol, estimate in wall_matrices():
+            self.assert_same_bits(monkeypatch, d, e, tol, estimate)
+        assert any(kind == "no at tail" for kind, _ in log)
+
+
+class TestTailStop:
+    """A probe that stops at the tail answers as the walk to the end, at
+    every probe point at or below x_cut and wherever the tail starts."""
+
+    @staticmethod
+    def assert_stop_is_exact(d, e, tol):
+        # the arrays smallest_eigenvalue hands _tail
+        n = d.size
+        e2 = np.zeros(n)
+        e2[1:] = e * e
+        pivmin = _kernels._SAFMIN * float(np.max(e2, initial=1.0))
+        abs_e = np.abs(e)
+        radius = np.zeros(n)
+        radius[1:] = abs_e
+        radius[:-1] += abs_e
+        with np.errstate(all="ignore"):
+            ref = float(loop_smallest_eigenvalue(d, e, tol))
+        # points a tol / 8 apart around the eigenvalue, and the 32 floats
+        # above it, where a yes comes latest
+        above = [ref]
+        for _ in range(32):
+            above.append(float(np.nextafter(above[-1], math.inf)))
+        near = [float(x) for x in ref + np.arange(-32, 33) * tol / 8] + above[1:]
+        for x_aim in (near[0], near[-1], ref + 1e6 * tol):
+            for reach in (1.0, 4.0, 16.0):
+                with np.errstate(divide="ignore", over="ignore"):
+                    s, x_cut, bound = _kernels._tail(d, e2, abs_e, radius, d - radius, pivmin, x_aim, reach)
+                for x in near + [x_cut, float(np.nextafter(x_cut, -math.inf))]:
+                    if x <= x_cut:
+                        with np.errstate(over="ignore"):
+                            sv = memoryview(d - x)
+                        e2v = memoryview(e2)
+                        full = _kernels._pivot_below(sv, e2v, pivmin)
+                        tail = _kernels._pivot_below(sv[: s + 1], e2v[: s + 1], pivmin, bound, sv[s + 1 :], e2v[s + 1 :])
+                        assert tail == full, (n, x_aim, reach, x)
+
+    def test_wall_matrices(self, monkeypatch):
+        log = log_walks(monkeypatch)
+        for d, e, tol, _ in wall_matrices():
+            self.assert_stop_is_exact(d, e, tol)
+        assert any(kind == "no at tail" for kind, _ in log)
+
+    @pytest.mark.parametrize("solve", [_worked_case, _callable_correction, _oscillator],
+                             ids=["worked_auto_domain", "callable_correction", "oscillator_n1"])
+    def test_oracle_matrices(self, solve, monkeypatch):
+        bisections = solve()
+        log = log_walks(monkeypatch)  # the stops of the checks below only
+        for d, e, tol, _ in bisections:
+            self.assert_stop_is_exact(d, e, tol)
+        assert any(kind == "no at tail" for kind, _ in log)
+
 
 def loop_pivots(shifted, e2, pivmin):
     """Reference: q_0 = shifted_0, q_i = shifted_i - e2_(i-1) / q_(i-1),
@@ -397,7 +538,7 @@ class TestWalksMatchLoopReference:
                     assert got.tobytes() == loop_pivots(s, s2, pivmin).tobytes(), (d, e, x)
                 for dd, ee in ((d, e2), (d[::-1], e2[::-1])):  # _twisted_gap's two walks
                     with np.errstate(all="ignore"):
-                        got = _kernels._last_pivot(x, memoryview(dd), memoryview(ee), pivmin)
+                        got = _kernels._last_pivot(memoryview(dd - x), memoryview(ee), pivmin)
                     ref = loop_last_pivot(x, dd, ee, pivmin)
                     assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d, e, x)
 
