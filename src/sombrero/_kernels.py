@@ -284,10 +284,10 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     shifted = np.empty(n)
     sv, e2v = memoryview(shifted), memoryview(e2)
     walk = (sv, e2v, pivmin)
-    # until the aim: no probe stops at the tail, and gamma_k walks it all
+    # until the aim no probe stops at the tail; gap runs only in the aim,
+    # which first sets the gap_args it reads
     x_cut, cut = -math.inf, walk
     k = int(np.argmin(d))
-    gap_args = (sv, e2v[1:], k, pivmin)
 
     def pivot_below(x):
         np.subtract(d, x, out=shifted)

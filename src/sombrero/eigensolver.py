@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .potential import PotentialParams, eval_potential
+from .potential import PotentialParams, _check_n_dim, eval_potential
 from .solvers import ZeroModeSolution
 from .trial import m_zero_residual, satisfies_m_zero, satisfies_zero_energy, trial_split, zero_energy_residual
 from .wavefunction import TrialWavefunction, derivatives_s0, eval_s0, schrodinger_residual
@@ -123,7 +123,7 @@ def _resolve_potential(potential, n_dim):
         return (lambda r: eval_potential(potential, r)), potential.n_dim
     if n_dim is None:
         raise ValueError("a callable potential needs an explicit n_dim")
-    return potential, int(n_dim)
+    return potential, _check_n_dim(n_dim)
 
 
 def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: int = None) -> TridiagonalOperator:

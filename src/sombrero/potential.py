@@ -16,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_n_dim(n_dim) -> int:
+    """n_dim as an int, or ValueError unless it is an integer >= 1."""
+    if int(n_dim) != n_dim or n_dim < 1:
+        raise ValueError(f"n_dim must be an integer >= 1, got {n_dim}")
+    return int(n_dim)
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Coefficients of the sextic sombrero potential in n_dim dimensions.
@@ -36,8 +43,7 @@ class PotentialParams:
             raise ValueError("potential coefficients must be finite")
         if self.g < 0:
             raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if int(self.n_dim) != self.n_dim or self.n_dim < 1:
-            raise ValueError(f"n_dim must be an integer >= 1, got {self.n_dim}")
+        _check_n_dim(self.n_dim)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,27 @@ Three routes produce exactly solvable parameter sets:
     condition becomes a quadratic in alpha with two closed branches
     (these have m = 0 but generally E0 != 0).
   * solve_eta_mu: the well-form route; eliminating mu and c from the
-    three constraints leaves one cubic in eta with a single root in
-    (0, 1) for the couplings of interest.
+    three constraints leaves one cubic in eta with at most one root in
+    (0, 1), which exists exactly when g > 3/4.
 
-solve_eta and solve_eta_mu share one cubic root finder that bisects each
-monotone piece of [0, 1] to the last float; jackiw_solutions needs none.
+Each cubic has at most one root in (0, 1), so solve_eta and solve_eta_mu
+share one finder that bisects [0, 1] to the last float when the cubic's
+ends there are nonzero and of opposite sign, and finds no root otherwise;
+jackiw_solutions needs none.  Both cubics are convex on [0, 1]:
+
+  * the eta cubic f(eta) = lambda N (eta+1)^2 (eta-1) + (N+4) eta + N has
+    f(0) = N (1 - lambda), f(1) = 2N + 4 > 0 and f'' = lambda N (6 eta + 2).
+    For lambda > 1, f(0) < 0 and a convex f changes sign exactly once.
+    For 0 < lambda <= 1, f'(0) = N + 4 - lambda N > 0 and f' rises, so
+    f > 0 on (0, 1]; for lambda <= 0, f is concave or linear and positive
+    at both ends, so again f > 0 on (0, 1).
+  * the well-form cubic p (eta_mu_cubic_coefficients, leading
+    coefficient 2) has p'' > 0 on [0, 1], p(0) = -3N / ((N+2) g) < 0 and
+    p(1) = 2 (4g - 3) / g: one root if g > 3/4, none otherwise.
+
 A grid of lambdas, as the scan-lambda command solves, goes through a
-numpy copy of that finder that gives the same first roots bit for bit;
-one lambda stays on the scalar finder, some fifty times faster than a
+numpy copy of that finder that gives the same roots bit for bit; one
+lambda stays on the scalar finder, some fifty times faster than a
 one-element batch.
 """
 
@@ -87,12 +100,13 @@ def _quadratic_roots(a, b, c):
 
 
 def _cubic_roots_in_unit_interval(coefficients):
-    """Roots strictly inside (0, 1) of the cubic c3 x^3 + c2 x^2 + c1 x + c0, ascending.
+    """Root strictly inside (0, 1) of the cubic c3 x^3 + c2 x^2 + c1 x + c0, as a list.
 
-    The roots of f'(x) / 3 split [0, 1] into at most three monotone
-    pieces.  A piece whose ends differ in sign holds one root, which is
-    bisected; an exact zero at an interior piece end is a root too.
-    |c3| + |c2| + |c1| + |c0| bounds every Horner intermediate on [0, 1].
+    The list holds one bisected root when the cubic is nonzero at 0 and 1
+    with opposite signs, and is empty otherwise: a cubic that is convex
+    or concave on [0, 1], as both constraint cubics are (see the module
+    docstring), has no other root there.  |c3| + |c2| + |c1| + |c0|
+    bounds every Horner intermediate on [0, 1].
     """
     c3, c2, c1, c0 = map(float, coefficients)
     if not math.isfinite(abs(c3) + abs(c2) + abs(c1) + abs(c0)):
@@ -101,16 +115,10 @@ def _cubic_roots_in_unit_interval(coefficients):
     def cubic(x):
         return ((c3 * x + c2) * x + c1) * x + c0
 
-    critical = _quadratic_roots(c3, 2.0 / 3.0 * c2, c1 / 3.0)
-    ends = [0.0, *(x for x in critical if 0.0 < x < 1.0), 1.0]
-    roots = []
-    for lo, hi in zip(ends, ends[1:]):
-        f_lo, f_hi = cubic(lo), cubic(hi)
-        if lo > 0.0 and f_lo == 0.0:
-            roots.append(lo)
-        elif f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0):
-            roots.append(_bisect(cubic, lo, hi, f_lo, f_hi))
-    return roots
+    f_lo, f_hi = cubic(0.0), cubic(1.0)
+    if min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
+        return [_bisect(cubic, 0.0, 1.0, f_lo, f_hi)]
+    return []
 
 
 def _bisect(f, lo, hi, f_lo, f_hi):
@@ -137,15 +145,14 @@ _CHECK_EVERY = 8
 
 
 def _first_roots_in_unit_interval(coefficients):
-    """First root in (0, 1) of each cubic in a batch, NaN where there is none.
+    """Root in (0, 1) of each cubic in a batch, NaN where there is none.
 
     coefficients is (c3, c2, c1, c0), four equal-length float arrays.
     Each cubic runs through the steps of _cubic_roots_in_unit_interval
-    in numpy, so each root equals that finder's first root bit for bit,
-    and the first cubic with a non-finite coefficient sum raises its
-    ValueError.  (c3, c2 and c1 all zero, where that finder divides by
-    zero, give no root here.)  One array bisection serves every cubic
-    whose first root is a sign change.
+    in numpy, so each root equals that finder's root bit for bit, and the
+    first cubic with a non-finite coefficient sum raises its ValueError.
+    One array bisection of [0, 1] serves every cubic whose ends there
+    differ in sign.
     """
     c3, c2, c1, c0 = coefficients = tuple(np.asarray(c, dtype=float) for c in coefficients)
     with np.errstate(all="ignore"):
@@ -155,37 +162,12 @@ def _first_roots_in_unit_interval(coefficients):
             got = tuple(float(c[i]) for c in coefficients)
             raise ValueError(f"cubic coefficients must be finite with a finite sum, got {got}")
 
-        # critical points: _quadratic_roots(c3, 2/3 c2, c1/3), element-wise
-        a, b, c = c3, 2.0 / 3.0 * c2, c1 / 3.0
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-        a, b, c = a / scale, b / scale, c / scale
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        linear = a == 0.0
-        x1 = np.where(linear, -c / b, q / a)
-        x2 = np.where(linear, x1, c / q)
-        # no real root (NaN), a double root at q = 0 (+-0, +-inf or NaN)
-        # and b = 0 on the linear branch (inf or NaN) all fail the range
-        # test; an absent critical point becomes an empty piece [0, 0],
-        # which never holds a root
-        x1, x2 = (np.where((x > 0.0) & (x < 1.0), x, 0.0) for x in (x1, x2))
-        ends = (np.zeros_like(c3), np.minimum(x1, x2), np.maximum(x1, x2), np.ones_like(c3))
-
-        f = [_horner(coefficients, x) for x in ends]
-        # the first piece that holds a root decides, as roots[0] of that finder
+        f_lo, f_hi = _horner(coefficients, 0.0), _horner(coefficients, 1.0)
+        change = (np.minimum(f_lo, f_hi) < 0.0) & (np.maximum(f_lo, f_hi) > 0.0)
+        count = np.count_nonzero(change)
         roots = np.full(c3.shape, np.nan)
-        todo = np.ones(c3.shape, dtype=bool)
-        bracketed = np.zeros(c3.shape, dtype=bool)
-        lo, hi, f_lo = np.zeros_like(c3), np.zeros_like(c3), np.zeros_like(c3)
-        for k in range(3):
-            zero = todo & (ends[k] > 0.0) & (f[k] == 0.0)
-            roots[zero] = ends[k][zero]
-            change = todo & (f[k] != 0.0) & (f[k + 1] != 0.0) & ((f[k] < 0.0) != (f[k + 1] < 0.0))
-            for dest, src in ((lo, ends[k]), (hi, ends[k + 1]), (f_lo, f[k])):
-                dest[change] = src[change]
-            bracketed |= change
-            todo &= ~(zero | change)
-        roots[bracketed] = _bisect_batch(
-            lo[bracketed], hi[bracketed], f_lo[bracketed], [x[bracketed] for x in coefficients]
+        roots[change] = _bisect_batch(
+            np.zeros(count), np.ones(count), f_lo[change], [c[change] for c in coefficients]
         )
     return roots
 
@@ -253,10 +235,12 @@ def eta_cubic_coefficients(lambda_: float, n_dim: int):
 
 
 def solve_eta(lambda_: float, n_dim: int):
-    """All roots of the eta cubic strictly inside (0, 1), sorted ascending.
+    """The root of the eta cubic strictly inside (0, 1), as a list.
 
-    An empty list is a legitimate outcome (no zero-energy potential has
-    that shape ratio); roots only exist for lambda > 1.
+    The cubic is convex on [0, 1] and negative at 0 exactly when
+    lambda > 1 (see the module docstring), so the list holds one root for
+    lambda > 1 and is empty otherwise: an empty list is a legitimate
+    outcome (no zero-energy potential has that shape ratio).
     """
     if not math.isfinite(lambda_):
         raise ValueError(f"lambda must be finite, got {lambda_}")
@@ -340,12 +324,14 @@ def eta_mu_cubic_coefficients(g: float, n_dim: int):
 def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
     """Zero-energy solution in the well form for coupling g.
 
-    Solves the eta cubic, takes its unique root in (0, 1), recovers mu
+    Solves the eta cubic, which is convex on [0, 1], negative at 0, and
+    positive at 1 exactly when g > 3/4 (see the module docstring), so it
+    has one root in (0, 1) for g > 3/4 and none otherwise.  Recovers mu
     from the exact-solvability constraint (mu = 1 - (1+eta)^2 + 3/g) and
     the potential through the Jackiw form.  The quadratic trial
     coefficient follows c = (1 - eta) g r0^2 / 2.  Raises NoRootError
-    when the cubic has no root or several in (0, 1), or when the
-    potential rebuilt from the root misses either constraint residual.
+    when the cubic has no root in (0, 1), or when the potential rebuilt
+    from the root misses either constraint residual.
     """
     if not (g > 0):
         raise ValueError(f"need g > 0, got {g}")
@@ -355,10 +341,6 @@ def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
     if not roots:
         raise NoRootError(
             f"no shift ratio eta in (0, 1) solves the constraints for g={g}, N={n_dim}"
-        )
-    if len(roots) > 1:
-        raise NoRootError(
-            f"expected a unique eta in (0, 1) for g={g}, N={n_dim}, found {roots}"
         )
     eta = roots[0]
     mu = 1.0 - (1.0 + eta) ** 2 + 3.0 / g

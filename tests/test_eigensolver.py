@@ -139,6 +139,16 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="n_dim"):
             discretize(lambda r: 0.5 * r * r, grid=RadialGrid.make(8.0, 64))
 
+    @pytest.mark.parametrize("n_dim", [0, -1, 2.5, "3"])
+    def test_callable_takes_the_dimension_rule_of_potential_params(self, n_dim):
+        message = f"n_dim must be an integer >= 1, got {n_dim}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PotentialParams(g=1.0, alpha=0.0, beta=0.0, bigA=0.0, n_dim=n_dim)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            discretize(lambda r: 0.5 * r * r, grid=RadialGrid.make(8.0, 64), n_dim=n_dim)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=10.0, n_points=512)
+
 
 class TestFreeParticleSmoke:
     def test_half_cell_mode_and_domain_growth(self):

@@ -61,19 +61,10 @@ class TestCubicRoots:
         roots = solvers._cubic_roots_in_unit_interval(eta_mu_cubic_coefficients(1.0, 3))
         assert roots == [pytest.approx(0.7970051148705482, rel=1e-15)]
 
-    def test_three_roots(self):
-        # (x - 1/4)(x - 1/2)(x - 3/4), one root on each monotone piece
-        roots = solvers._cubic_roots_in_unit_interval((1.0, -1.5, 0.6875, -0.09375))
-        assert roots == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
-
     def test_no_root(self):
         assert solvers._cubic_roots_in_unit_interval((1.0, 0.0, 0.0, 1.0)) == []
         # roots at 0 and 1 themselves are not inside (0, 1)
         assert solvers._cubic_roots_in_unit_interval((0.0, 1.0, -1.0, 0.0)) == []
-
-    def test_double_root_at_critical_point(self):
-        # (x - 1/2)^2 (x + 1): the root is a critical point, with no sign change
-        assert solvers._cubic_roots_in_unit_interval((1.0, 0.0, -0.75, 0.25)) == [0.5]
 
     @pytest.mark.parametrize(
         "coefficients",
@@ -145,6 +136,14 @@ class TestSolveEta:
             etas.append(roots[0])
         assert np.all(np.diff(etas) > 0.0)
 
+    @pytest.mark.parametrize("n_dim", [*range(1, 11), 27, 100])
+    def test_one_root_exactly_above_unit_shape_ratio(self, n_dim):
+        # the cubic is convex on [0, 1] with f(0) = N (1 - lambda) and
+        # f(1) = 2N + 4; past lambda - 1 = 1e12 the computed f(1) cancels
+        lams = [-1e12, -1.0, 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), *(1.0 + np.logspace(-15, 12, 400))]
+        counts = [len(solve_eta(float(lam), n_dim)) for lam in lams]
+        assert counts == [int(lam > 1.0) for lam in lams]
+
 
 def first_roots(coefficients):
     """The scalar finder's first root of each cubic, NaN where it has none."""
@@ -165,17 +164,15 @@ def same_bits(a, b):
 
 
 SPECIAL_CUBICS = [
-    ((1.0, 0.0, -0.75, 0.25), 0.5),  # (x - 1/2)^2 (x + 1): an exact zero at a critical point
-    ((-2.0, 0.0, 1.5, -0.5), 0.5),  # the same times -2
-    ((1.0, -1.5, 0.75, -0.125), 0.5),  # (x - 1/2)^3: one double critical point, a zero
-    ((1.0, 0.0, 0.0, -0.125), 0.5),  # x^3 - 1/8: the critical points' q is 0
+    ((1.0, -1.5, 0.75, -0.125), 0.5),  # (x - 1/2)^3: a triple root, the first midpoint
+    ((1.0, 0.0, 0.0, -0.125), 0.5),  # x^3 - 1/8: the first midpoint is an exact zero
     ((1.0, -0.25, 1.0, -0.25), 0.25),  # (x - 1/4)(x^2 + 1): the second midpoint is an exact zero
     ((0.0, 0.0, 2.0, -1.0), 0.5),  # linear
     ((0.0, 1.0, 0.0, -0.25), 0.5),  # quadratic
-    ((1.0, -1.5, 0.6875, -0.09375), 0.25),  # (x - 1/4)(x - 1/2)(x - 3/4): the first of three
     ((1.0, 0.0, 0.0, 1.0), math.nan),  # no root
     ((0.0, 1.0, -1.0, 0.0), math.nan),  # roots at 0 and 1 only
     ((0.0, 0.0, 1.0, -2.0), math.nan),  # a linear root outside
+    ((0.0, 0.0, 0.0, 1.0), math.nan),  # constant
 ]
 
 
@@ -353,6 +350,22 @@ class TestSolveEtaMu:
                 assert 0.0 < sol.jackiw_form.eta < 1.0
                 assert satisfies_m_zero(sol.potential)
                 assert satisfies_zero_energy(sol.potential)
+
+    @pytest.mark.parametrize("n_dim", [*range(1, 11), 27, 100])
+    def test_one_root_exactly_above_three_quarters(self, n_dim):
+        # the cubic is convex on [0, 1] with p(0) < 0 and p(1) = 2 (4g - 3) / g
+        gs = [
+            1e-12,
+            0.5,
+            0.75,
+            math.nextafter(0.75, 0.0),
+            math.nextafter(0.75, 1.0),
+            *(0.75 + np.logspace(-15, 0, 200)),
+            *np.logspace(math.log10(1.75), 12, 200),
+        ]
+        cubics = (eta_mu_cubic_coefficients(float(g), n_dim) for g in gs)
+        counts = [len(solvers._cubic_roots_in_unit_interval(cubic)) for cubic in cubics]
+        assert counts == [int(g > 0.75) for g in gs]
 
     def test_no_root_for_weak_coupling(self):
         # the cubic is negative on all of (0, 1) for g < 3/4
