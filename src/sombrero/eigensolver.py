@@ -264,7 +264,11 @@ def groundstate(
       |E2_k - E2_(k-1)| / 31 (for N = 3 the error left after two
         steps falls only about 32x per halving of dr, and / 63
         undershot it by about 2x),
-      the bisection's tolerance 1e-10 / r_max^2, and
+      the bisection's tolerance 1e-10 / r_max^2, which bounds what the
+        bisections leave in E2_k: each raw eigenvalue is off by at most
+        1/2 + 1/64 of a tolerance, whatever the estimate, and
+        E2_k = (64 e_k - 20 e_(k-1) + e_(k-2)) / 45 weighs three of
+        them, so they move it by at most 85/45 * 0.516 < 1 tolerance, and
       eps n^2 / r_max^2, the round-off of a Sturm-bisected eigenvalue on
         n cells (measured at most 0.74 eps n^2 / r_max^2),
     is at most 1e-8 / r_max^2, or at n_points cells, whatever the
@@ -317,7 +321,11 @@ def groundstate(
     estimate = None
     for n in levels:
         op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
-        # an estimate only shortens the bisection (see _kernels.smallest_eigenvalue)
+        # whatever the estimate, each level lies within bisect_tol / 2 +
+        # bisect_tol / 64 of its eigenvalue (the bracket and the tail, see
+        # _kernels.smallest_eigenvalue), and E2 weights three levels by
+        # (64, -20, 1) / 45, so the bisections move E2 by at most
+        # 85/45 * 0.516 < 1 bisect_tol, the share error_estimate adds
         e_fine = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, estimate))
         if rows:
             e_coarse = rows[-1][0]
@@ -367,9 +375,11 @@ def groundstate(
     grid = op.grid
     r = grid.points
     dr = grid.spacing
-    # entries of vec that underflow to 0 stay 0 where r^((N-1)/2) does too
-    psi = np.divide(vec, r ** ((ndim - 1.0) / 2.0), out=np.zeros_like(vec), where=vec != 0.0)
-    psi /= math.sqrt(float(np.sum(psi * psi * r ** (ndim - 1.0)) * dr))
+    # sum psi^2 r^(N-1) dr = 1 from vec's own squares, so that r^(N-1),
+    # which overflows from about N = 500, is never formed; entries of vec
+    # that underflow to 0 stay 0 where r^((N-1)/2) does too
+    scale = r ** ((ndim - 1.0) / 2.0) * math.sqrt(dr * float(np.sum(vec * vec)))
+    psi = np.divide(vec, scale, out=np.zeros_like(vec), where=vec != 0.0)
     return EigenResult(
         energy=energy,
         vector=psi,

@@ -44,18 +44,17 @@ def log_walks(monkeypatch) -> list:
     """Log each Sturm probe and gamma_k walk the kernels make.
 
     Appends (kind, rows walked): kind "yes" or "no" for a probe's answer,
-    "no at tail" for a no that stopped short of the last row, and "gamma"
-    for one top-down or bottom-up walk of gamma_k.
+    and "gamma" for one top-down or bottom-up walk of gamma_k.  A probe
+    walks the leading block only, so a "no" that walked fewer rows than
+    the matrix has stopped short of its last row.
     """
     log = []
     pivot_below, last_pivot = _kernels._pivot_below, _kernels._last_pivot
 
-    def counted_pivot_below(shifted, e2, pivmin, bound=math.inf, shifted_tail=(), e2_tail=()):
-        head, tail = _Counted(shifted), _Counted(shifted_tail)
-        answer = pivot_below(head, e2, pivmin, bound, tail, e2_tail)
-        rows = head.taken + tail.taken
-        kind = "yes" if answer else "no" if rows == len(shifted) + len(shifted_tail) else "no at tail"
-        log.append((kind, rows))
+    def counted_pivot_below(shifted, e2, pivmin):
+        rows = _Counted(shifted)
+        answer = pivot_below(rows, e2, pivmin)
+        log.append(("yes" if answer else "no", rows.taken))
         return answer
 
     def counted_last_pivot(shifted, e2, pivmin):
