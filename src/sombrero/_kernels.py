@@ -25,8 +25,13 @@ through rows where the state has long decayed.  Every walk stops
 there: past a row s where the decay from the turning point is deep
 enough, the rest of the matrix moves the smallest eigenvalue by well
 under abs_tol, so the bisection solves the leading block of rows
-0..s.  Every walk reads d - x from one buffer that numpy fills with
-the subtraction a Python float would make.
+0..s.  The eigenvector is a leading block's too, with its tail found
+abs_tol and an ulp above the bisected eigenvalue, and exactly 0 past
+it: the entries it drops lie below about sqrt(abs_tol / (64 max|e|))
+of the peak.  One helper (_matrix) sets up what both kernels read, the
+reach that ends the block included.  Every Sturm walk reads d - x from
+one buffer that numpy fills with the subtraction a Python float would
+make.
 """
 
 import math
@@ -136,6 +141,29 @@ def _tail(d, radius, lower, x, reach) -> int:
     return min(s, n - 1)
 
 
+def _matrix(d, e, abs_tol):
+    """What both kernels read of the tridiagonal (d, e) besides d.
+
+    e2 (e2_i = e_(i-1)^2 couples row i to the row above it, so e2_0 =
+    0), the pivot floor pivmin, each row's Gershgorin radius and lower
+    end, and the reach R = ln(_AIM_STOP max(|e|, 1) / abs_tol) / 2 at
+    which _tail ends the leading block (infinite unless 0 < abs_tol <
+    inf, so that no block is cut).
+    """
+    n = d.shape[0]
+    e2 = np.zeros(n)
+    np.multiply(e, e, out=e2[1:])
+    e2_max = float(np.max(e2, initial=1.0))
+    abs_e = np.abs(e)
+    radius = np.zeros(n)
+    radius[1:] = abs_e
+    radius[:-1] += abs_e
+    # a tail this far past the turning point moves the smallest
+    # eigenvalue by about max|e| e^(-2 reach) = abs_tol / _AIM_STOP
+    reach = 0.5 * math.log(_AIM_STOP * math.sqrt(e2_max) / abs_tol) if 0.0 < abs_tol < math.inf else math.inf
+    return e2, _SAFMIN * e2_max, radius, d - radius, reach
+
+
 def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
@@ -178,25 +206,10 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     nearest first and only where they lie inside the bracket, set lo
     and hi; a plain bisection finishes.
     """
-    n = d.shape[0]
-    if n == 1:
+    if d.shape[0] == 1:
         return float(d[0])
-    # e2[i] = e_(i-1)^2 couples row i to the row above it; e2[0] = 0
-    e2 = np.zeros(n)
-    np.multiply(e, e, out=e2[1:])
-    e2_max = float(np.max(e2, initial=1.0))
-    pivmin = _SAFMIN * e2_max
-
-    abs_e = np.abs(e)
-    radius = np.zeros(n)
-    radius[1:] = abs_e
-    radius[:-1] += abs_e
-    lower = d - radius
-
+    e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
     estimate = math.nan if estimate is None else float(estimate)
-    # a tail this far past the turning point moves the smallest
-    # eigenvalue by about max|e| e^(-2 reach) = abs_tol / _AIM_STOP
-    reach = 0.5 * math.log(_AIM_STOP * math.sqrt(e2_max) / abs_tol) if 0.0 < abs_tol < math.inf else math.inf
     bottom, top = float(np.min(lower)), float(np.min(d))
     # numpy's d - x overflows where a Python float subtraction would, to
     # the same infinity, and _tail's decay ratio divides by a zero radius
@@ -209,7 +222,7 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
             # found at it: solve cold, with the tail at min(d)
             s = _tail(d, radius, lower, top, reach)
             lo, hi = _bisect(d[: s + 1], e2[: s + 1], pivmin, bottom, abs_tol, math.nan)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
@@ -248,7 +261,7 @@ def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
                         else:
                             lo = point
             continue
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         if pivot_below(mid):
@@ -277,34 +290,54 @@ def _pivots(shifted, e2, pivmin) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def eigenvector(d, e, sigma) -> np.ndarray:
+def eigenvector(d, e, sigma, abs_tol) -> np.ndarray:
     """Unit eigenvector of the symmetric tridiagonal (d, e) for the eigenvalue at sigma.
 
-    d and e*e must be finite, as for smallest_eigenvalue.  One twisted
-    factorization of T - sigma*I (Dhillon 1997; Parlett & Dhillon,
-    Linear Algebra Appl. 309, 2000): the top-down pivots D+ and
-    the bottom-up pivots D- meet at the twist index k that minimizes
-    |gamma_k| = |D+_k + D-_k - (d_k - sigma)|; 1 / gamma_k is the k-th
-    diagonal entry of (T - sigma*I)^-1, largest where the eigenvector
-    is.  With x_k = 1 the other entries follow outward as running
-    products, x_i = -(e_i / D+_i) x_(i+1) for i < k and
-    x_i = -(e_(i-1) / D-_i) x_(i-1) for i > k, which solve
-    (T - sigma*I) x = gamma_k e_k exactly.  When every e_i < 0 and the
-    pivots used are positive, no entry of x is negative.  The result
-    is scaled by its largest entry and then to unit length with a
-    running (sequential) sum of squares.  Entries that overflow come
-    back non-finite, which the caller checks for.
+    d and e*e must be finite, as for smallest_eigenvalue, and sigma is
+    that eigenvalue as smallest_eigenvalue bisected it to abs_tol.  One
+    twisted factorization (Dhillon 1997; Parlett & Dhillon, Linear
+    Algebra Appl. 309, 2000) of the leading block of rows 0..s, where s
+    is _tail's row at the float above sigma + abs_tol: the top-down
+    pivots D+ and the bottom-up pivots D- of the block minus sigma*I
+    meet at the twist index k that minimizes |gamma_k| = |D+_k + D-_k - (d_k - sigma)|; 1 / gamma_k is
+    the k-th diagonal entry of the inverse, largest where the
+    eigenvector is.  With x_k = 1 the other entries follow outward as
+    running products, x_i = -(e_i / D+_i) x_(i+1) for i < k and
+    x_i = -(e_(i-1) / D-_i) x_(i-1) for k < i <= s, which solve the
+    block's (T - sigma*I) x = gamma_k e_k exactly.  Entries past s are
+    exactly 0.  When every e_i < 0 and the pivots used are positive, no
+    entry of x is negative.  The result is scaled by its largest entry
+    and then to unit length with a running (sequential) sum of squares.
+    Entries that overflow come back non-finite, which the caller checks
+    for.
+
+    The cut is the bisection's (see smallest_eigenvalue), found at a
+    point at or above the eigenvalue, as the bisection's must be: summed
+    outward from the turning point, the decay exponents reach R at row
+    s, so the entries dropped lie below about e^-R =
+    sqrt(abs_tol / (_AIM_STOP max(|e|, 1))) of the amplitude at the
+    turning point, and the block's eigenvector differs from T's by
+    about as much.  With no cut (s = n - 1, as always where abs_tol is
+    not finite and positive, save at rows that zero couplings isolate)
+    the vector is the whole matrix's twisted factorization.
     """
-    shifted = d - sigma
-    e2 = e * e
-    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
-    down = _pivots(shifted, e2, pivmin)
-    up = _pivots(shifted[::-1], e2[::-1], pivmin)[::-1]
+    e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
+    with np.errstate(divide="ignore", over="ignore"):
+        # at or above the eigenvalue (sigma may lie an ulp below it where
+        # abs_tol is under half its ulp): below it, the tail could cut off
+        # a row that zero couplings isolate and that holds the state
+        s = _tail(d, radius, lower, math.nextafter(sigma + abs_tol, math.inf), reach)
+    # the block's couplings are e2[1 : s + 1] top-down, e2[s:0:-1] bottom-up
+    shifted = d[: s + 1] - sigma
+    down = _pivots(shifted, e2[1 : s + 1], pivmin)
+    up = _pivots(shifted[::-1], e2[s:0:-1], pivmin)[::-1]
+    x = np.zeros(d.shape[0])
+    block = x[: s + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         k = int(np.argmin(np.abs(down + up - shifted)))
-        x = np.ones(d.shape[0])
-        x[:k] = np.cumprod((-e[:k] / down[:k])[::-1])[::-1]
-        x[k + 1 :] = np.cumprod(-e[k:] / up[k + 1 :])
-        x /= np.max(np.abs(x))
-        x /= math.sqrt(float(np.add.accumulate(x * x)[-1]))
+        block[k] = 1.0
+        block[:k] = np.cumprod((-e[:k] / down[:k])[::-1])[::-1]
+        block[k + 1 :] = np.cumprod(-e[k:s] / up[k + 1 :])
+        block /= np.max(np.abs(block))
+        block /= math.sqrt(float(np.add.accumulate(block * block)[-1]))
     return x

@@ -103,7 +103,11 @@ class EigenResult:
     holds the discrete wavefunction samples on the finest grid, from one
     twisted factorization at the fine eigenvalue, sign-checked (no entry
     below -1e-8 times the peak) and normalized so
-    sum(vector^2 r^(N-1)) dr = 1.  richardson_pair keeps the two finest
+    sum(vector^2 r^(N-1)) dr = 1.  It is the leading block's that the
+    bisection solves (see _kernels.eigenvector): exactly 0 past the row
+    where the state has decayed below about sqrt(tol / (64 max|e|)) of
+    its peak, for the bisection's tolerance tol and the operator's
+    largest off-diagonal |e|.  richardson_pair keeps the two finest
     raw eigenvalues (coarse, fine).  error_estimate bounds the energy's
     error: |E2_k - E2_(k-1)| / 31 over the ladder's last two levels,
     plus the bisection's tolerance, plus the round-off eps n^2 / r_max^2
@@ -277,7 +281,8 @@ def groundstate(
     estimate comes back as error_estimate.  The energy, richardson_pair
     and vector all come from the last level and the ones below; the
     vector is one twisted factorization (_kernels.eigenvector) at the
-    finest grid's eigenvalue.
+    finest grid's eigenvalue, over the leading block that its bisection
+    tolerance leaves, and 0 past it.
 
     When two consecutive raw eigenvalues disagree by more than 1/dr^2 of
     the coarser grid (grid too coarse), the extrapolation starts over
@@ -366,7 +371,7 @@ def groundstate(
     if not math.isfinite(energy):
         raise RuntimeError("groundstate energy is not finite")
     # op is the finest grid's operator, the last one the loop built
-    vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine)
+    vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine, bisect_tol)
     if not np.isfinite(vec).all():
         raise RuntimeError("groundstate vector is not finite")
     if vec.min() < -1e-8 * vec.max():

@@ -41,15 +41,16 @@ class _Counted:
 
 
 def log_walks(monkeypatch) -> list:
-    """Log each Sturm probe and gamma_k walk the kernels make.
+    """Log each Sturm probe, gamma_k walk and eigenvector walk the kernels make.
 
     Appends (kind, rows walked): kind "yes" or "no" for a probe's answer,
-    and "gamma" for one top-down or bottom-up walk of gamma_k.  A probe
-    walks the leading block only, so a "no" that walked fewer rows than
-    the matrix has stopped short of its last row.
+    "gamma" for one top-down or bottom-up walk of gamma_k, and "vector"
+    for one top-down or bottom-up pivot walk of the eigenvector.  A
+    probe walks the leading block only, so a "no" that walked fewer rows
+    than the matrix has stopped short of its last row.
     """
     log = []
-    pivot_below, last_pivot = _kernels._pivot_below, _kernels._last_pivot
+    pivot_below, last_pivot, pivots = _kernels._pivot_below, _kernels._last_pivot, _kernels._pivots
 
     def counted_pivot_below(shifted, e2, pivmin):
         rows = _Counted(shifted)
@@ -61,6 +62,11 @@ def log_walks(monkeypatch) -> list:
         log.append(("gamma", len(shifted)))
         return last_pivot(shifted, e2, pivmin)
 
+    def counted_pivots(shifted, e2, pivmin):
+        log.append(("vector", len(shifted)))
+        return pivots(shifted, e2, pivmin)
+
     monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
     monkeypatch.setattr(_kernels, "_last_pivot", counted_last_pivot)
+    monkeypatch.setattr(_kernels, "_pivots", counted_pivots)
     return log

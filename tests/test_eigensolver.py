@@ -224,12 +224,23 @@ class TestHarmonicCalibration:
 
 
 class TestZeroModeOracle:
-    def test_reference_case_energy_and_vector(self, worked_potential):
+    def test_reference_case_energy_and_vector(self, worked_potential, monkeypatch):
+        calls = []
+        eigenvector = _kernels.eigenvector
+        monkeypatch.setattr(_kernels, "eigenvector", lambda *args: calls.append(args) or eigenvector(*args))
         res = groundstate(worked_potential, r_max=8.0, n_points=2000)
         assert abs(res.energy) < 1e-6
-        # nodeless positive vector, normalized under the radial weight
+        # nodeless vector, normalized under the radial weight: the leading
+        # block's, which leaves out entries below about e^-R =
+        # sqrt(abs_tol / (64 max|e|)) of the peak, so it is positive
+        # wherever the full walk's vector (an infinite tolerance cuts no
+        # row) lies above that, here for r < 2.94, and 0 from r = 3.0 on
+        ((d, e, sigma, abs_tol),) = calls
+        full = eigenvector(d, e, sigma, math.inf)
+        above = full > math.sqrt(abs_tol / (64.0 * float(np.max(np.abs(e))))) * full.max()
         assert np.all(res.vector >= 0.0)
-        assert np.all(res.vector[res.grid.points < 5.0] > 0.0)
+        assert np.all(res.vector[above] > 0.0)
+        assert res.grid.points[above].max() > 2.5
         r = res.grid.points
         total = float(np.sum(res.vector**2 * r**2) * res.grid.spacing)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -607,7 +618,7 @@ class TestStages:
             levels = [log[a:b] for a, b in zip(starts, ends)]
             log.clear()
             starts.clear()
-            return [[sum(r for kind, r in level if kind != "gamma"), sum(r for kind, r in level if kind == "gamma")]
+            return [[sum(r for kind, r in level if kind in ("yes", "no")), sum(r for kind, r in level if kind == "gamma")]
                     for level in levels]
 
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
@@ -615,6 +626,19 @@ class TestStages:
         assert rows_per_level() == [[1512, 496], [414, 852], [834, 1290], [1659, 2598]]
         groundstate(worked_potential, r_max=8.0, n_points=2000)
         assert rows_per_level() == [[733, 212], [181, 460], [362, 558], [725, 1125]]
+
+    def test_vector_rows_walked(self, worked_potential, monkeypatch):
+        # counts, not timings: the rows of the eigenvector's top-down and
+        # bottom-up pivot walks on the finest level.  Over the whole
+        # matrix both walks took 1000 rows on either domain; over the
+        # leading block found a tolerance above the eigenvalue they stop
+        # at r = 3.0 on r_max = 8, and short of the automatic domain's wall
+        log = log_walks(monkeypatch)
+        assert groundstate(worked_potential).grid.n_points == 1000
+        assert [rows for kind, rows in log if kind == "vector"] == [867, 867]
+        log.clear()
+        assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
+        assert [rows for kind, rows in log if kind == "vector"] == [376, 376]
 
     def test_explicit_domain(self, worked_potential, calls):
         groundstate(worked_potential, r_max=8.0, n_points=2000)
@@ -638,8 +662,8 @@ class TestStages:
             groundstate(worked_potential, r_max=r_max, n_points=2000)
 
     def test_non_finite_energy_raises(self):
-        # V = 1e308 leaves the operator finite, but the bisection's
-        # midpoint, the mean of two ends near 1e308, overflows
+        # V = 1e308 leaves the operator finite and each level's eigenvalue
+        # too, but the Richardson step's 4 e_k overflows
         with pytest.warns(GridExtentWarning), pytest.raises(RuntimeError, match="^groundstate energy is not finite$"):
             groundstate(lambda r: 1e308 + 0.0 * r, r_max=1.0, n_dim=1, n_points=128)
 
@@ -652,10 +676,12 @@ class TestPinnedAnswers:
     perform a fixed sequence of IEEE-754 operations, so the same code
     gives the same bits.  A change to where the bisection probes moves
     its answers within its tolerance; such a change re-records these,
-    each new energy within the old error_estimate.  The pins also cover numpy's elementwise
-    power/exp in discretize and the potential; they were recorded with
-    Python 3.11 and numpy 2.4 on x86-64, and a numpy build whose
-    transcendental functions round differently would move them.
+    each new energy within the old error_estimate.  A change to where
+    the eigenvector's leading block ends moves only the vector digests.
+    The pins also cover numpy's elementwise power/exp in discretize and
+    the potential; they were recorded with Python 3.11 and numpy 2.4 on
+    x86-64, and a numpy build whose transcendental functions round
+    differently would move them.
     """
 
     @staticmethod
@@ -670,7 +696,7 @@ class TestPinnedAnswers:
             groundstate(worked_potential, r_max=8.0, n_points=2000),
             "-0x1.a494852222222p-37",
             ("-0x1.18aab1e22c997p-12", "-0x1.18a0bd31db9c5p-14"),
-            "f61c971430524ec9e74f38841eec69110d0321d52961869dd20bbde9d2ad0d25",
+            "e772f78c0f13e3f4bbeead314d3fd21d5518b142d0554b5ff4e85eedbf256e84",
             8.0,
         )
 
@@ -684,7 +710,7 @@ class TestPinnedAnswers:
             groundstate(sol.potential, n_points=2000),
             "0x1.607cc84fa4fbcp-41",
             ("-0x1.12a92fb00c183p-18", "-0x1.12a754bd0d5eap-20"),
-            "e203aadc6284de16fb52b48a898da87d2806618aa842e21e32a9e75f43462821",
+            "ff86c41a4112502071090adc72511bbbd7b72f9199b4f55ebb608feef22efbd1",
             12.116610267070016,
         )
 
@@ -695,7 +721,7 @@ class TestPinnedAnswers:
             groundstate(p, extra_potential=split.h_at, r_max=8.0, n_points=2000),
             "0x1.4000000006531p+1",
             ("0x1.3fff9a4ce3726p+1", "0x1.3fffe693d9aeep+1"),
-            "752164aacd6bcb6f15fecb79ed949e36daeb4ea7eb13c94ee2df29b4b530ccb9",
+            "475d7ee4b2d8c37deb35f68304937a46e48842eade89aa18bebb8d18692d7727",
             8.0,
         )
 
@@ -707,7 +733,7 @@ class TestPinnedAnswers:
             res,
             "0x1.80135e999999ap-38",
             ("-0x1.a47ca567e2a09p-15", "-0x1.a479d1e939f8ap-17"),
-            "55dd57698b3ee8763a6223fa775635a4fe80658476d4d6ca64cc415e0c59e06d",
+            "9ae58bc6d524307f11cde44463daca816cb73d8c06b5b3388f8b6ad5516e3961",
             3.462249204802943,
         )
         assert res.error_estimate.hex() == "0x1.df78b12e02802p-36"
@@ -719,7 +745,7 @@ class TestPinnedAnswers:
             res,
             "0x1.607cc84fa4fbcp-41",
             ("-0x1.12a92fb00c183p-18", "-0x1.12a754bd0d5eap-20"),
-            "e203aadc6284de16fb52b48a898da87d2806618aa842e21e32a9e75f43462821",
+            "ff86c41a4112502071090adc72511bbbd7b72f9199b4f55ebb608feef22efbd1",
             12.116610267070016,
         )
         assert res.error_estimate.hex() == "0x1.393db5113f02cp-39"
@@ -729,6 +755,6 @@ class TestPinnedAnswers:
             groundstate(lambda r: 0.5 * r * r, n_dim=1, r_max=12.0, n_points=2000),
             "0x1.000000000067fp-1",
             ("0x1.fffb47ff39143p-2", "0x1.fffed201e5864p-2"),
-            "67b5b84b3bc240e659a5ee2c20f5ebfc186b8863caa779f27e69f9abc5cdf7fd",
+            "ea53798ff6700f98cae4394a62d7acb0b98193f540f66be679ddd29cdc0ec36f",
             12.0,
         )

@@ -65,7 +65,7 @@ def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
     pivmin = 2.2250738585072014e-308 * (e2max if e2max > 1.0 else 1.0)
     lo, hi = loop_gershgorin_ends(d, e)
     while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         if visited is not None:
@@ -86,7 +86,7 @@ def loop_smallest_eigenvalue(d, e, abs_tol, visited=None):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def estimates(d, e, ref, visited, rng):
@@ -334,6 +334,7 @@ class TestMatchesLoopReference:
         spread = _kernels._AIM_SPREAD * 1e-3
         assert aimed_gap(d, e, estimate - spread) == aimed_gap(d, e, estimate + spread) == math.inf
         ref = exact_eigenvalue(d, e)
+        assert math.isfinite(ref)  # no midpoint 0.5 lo + 0.5 hi overflows
         for given in (estimate, None):
             assert_within_tolerance(_kernels.smallest_eigenvalue(d, e, 1e-3, given), ref, 1e-3)
 
@@ -476,7 +477,7 @@ class TestSameBitsTwice:
             first = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             again = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             assert np.float64(again).tobytes() == np.float64(first).tobytes()
-            assert _kernels.eigenvector(d, e, first).tobytes() == _kernels.eigenvector(d, e, again).tobytes()
+            assert _kernels.eigenvector(d, e, first, tol).tobytes() == _kernels.eigenvector(d, e, again, tol).tobytes()
 
     @staticmethod
     def _identity_case():
@@ -508,6 +509,37 @@ def loop_pivots(shifted, e2, pivmin):
                 q = -pivmin
             out[i] = q
     return out
+
+
+def loop_eigenvector(d, e, sigma):
+    """Reference: the full walk, one twisted factorization of the whole
+    matrix one index at a time.  loop_pivots top-down and bottom-up, the
+    first twist index k with the least |D+_k + D-_k - (d_k - sigma)|,
+    running products outward from x_k = 1, then the scaling by the
+    largest |x_i| and by the root of a running sum of squares."""
+    n = d.shape[0]
+    e2 = e * e
+    pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    with np.errstate(all="ignore"):
+        shifted = d - sigma
+        down = loop_pivots(shifted, e2, pivmin)
+        up = loop_pivots(shifted[::-1], e2[::-1], pivmin)[::-1]
+        k = 0
+        for i in range(1, n):
+            if abs(down[i] + up[i] - shifted[i]) < abs(down[k] + up[k] - shifted[k]):
+                k = i
+        x = np.ones(n)
+        for i in range(k - 1, -1, -1):
+            x[i] = x[i + 1] * (-e[i] / down[i])
+        for i in range(k + 1, n):
+            x[i] = x[i - 1] * (-e[i - 1] / up[i])
+        peak = max(abs(xi) for xi in x)
+        x /= peak
+        total = 0.0
+        for xi in x:
+            total += xi * xi
+        x /= math.sqrt(total)
+    return x
 
 
 def loop_last_pivot(x, d, e2, pivmin):
@@ -603,6 +635,12 @@ class TestSmallestEigenvalue:
 
 
 class TestEigenvector:
+    # |v - full walk| / peak in units of e^-R = sqrt(abs_tol / (64
+    # max(|e|, 1))), the decay at which the leading block ends: measured
+    # at most 0.142 (the worked case on 8000 cells at r_max = 8), 0.106
+    # on the wall matrices and 0.032 on the random ones
+    CUT_ERROR = 0.25
+
     @staticmethod
     def assert_matches(v, reference, tol):
         """v is a unit vector along reference: 1 - |cos| <= tol."""
@@ -617,7 +655,7 @@ class TestEigenvector:
             d, e = random_tridiagonal(rng, n)  # off-diagonals of both signs
             _, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            self.assert_matches(_kernels.eigenvector(d, e, sigma), vecs[:, 0], 1e-12)
+            self.assert_matches(_kernels.eigenvector(d, e, sigma, 1e-13), vecs[:, 0], 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_matrices_against_dense_eigh(self, n):
@@ -626,14 +664,14 @@ class TestEigenvector:
             d, e = random_tridiagonal(rng, n)
             _, reference = dense_groundstate(d, e)
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            self.assert_matches(_kernels.eigenvector(d, e, sigma), reference, 1e-12)
+            self.assert_matches(_kernels.eigenvector(d, e, sigma, 1e-13), reference, 1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 500])
     def test_degenerate_constant_matrix(self, n):
         d, e = degenerate_constant_matrix(n)
         _, reference = dense_groundstate(d, e)
         sigma = _kernels.smallest_eigenvalue(d, e, 1e-12)
-        v = _kernels.eigenvector(d, e, sigma)
+        v = _kernels.eigenvector(d, e, sigma, 1e-12)
         self.assert_matches(v, reference, 1e-12)
         assert v.min() > 0.0
 
@@ -644,16 +682,55 @@ class TestEigenvector:
         # underflows to zero where the true values fall below 1e-308)
         op = discretize(worked_potential, grid=RadialGrid.make(8.0, n))
         sigma = _kernels.smallest_eigenvalue(op.diag, op.off_diag, 1e-12)
-        v = _kernels.eigenvector(op.diag, op.off_diag, sigma)
+        v = _kernels.eigenvector(op.diag, op.off_diag, sigma, 1e-12)
         _, vecs = sla.eigh_tridiagonal(op.diag, op.off_diag, select="i", select_range=(0, 0))
         reference = vecs[:, 0] * np.sign(vecs[:, 0].sum())
         self.assert_matches(v, reference, 1e-13)
         assert np.max(np.abs(v - reference)) < 1e-10
         assert v.min() >= 0.0
 
+    def test_leading_block_against_full_walk(self, worked_potential, monkeypatch):
+        # the vector of the leading block the walks stop at, against the
+        # twisted factorization of the whole matrix at the same sigma:
+        # within CUT_ERROR e^-R of its peak, exactly 0 past the block,
+        # positive in it where every coupling is negative, and the full
+        # walk's bits where nothing is cut.  One random matrix that zero
+        # couplings split, and the five-row ones below, hold the state
+        # past rows they isolate, which a tail found below the eigenvalue
+        # cuts off
+        matrices = [(d, e, tol, None) for d, e, tol in random_matrices()]
+        matrices += [*wall_matrices(), *_worked_case()]
+        for n in (1000, 2000, 4000, 8000):
+            op = discretize(worked_potential, grid=RadialGrid.make(8.0, n))
+            # groundstate bisects to 1e-10 / r_max^2
+            matrices.append((op.diag, op.off_diag, 1e-10 / 64.0, None))
+        # the state on a row that zero couplings isolate, behind another
+        # isolated row and bisected to under half its ulp, so that sigma
+        # may lie an ulp below it
+        for dm in np.linspace(9998.25, 9998.35, 16):
+            matrices.append((np.array([1e4, 1e4, 1e4, 1e4 + 100.0, dm]), np.array([-1.0, -1.0, 0.0, 0.0]), 1e-14, None))
+        log = log_walks(monkeypatch)
+        cut = []
+        for d, e, tol, estimate in matrices:
+            sigma = _kernels.smallest_eigenvalue(d, e, tol, estimate)
+            log.clear()
+            v = _kernels.eigenvector(d, e, sigma, tol)
+            (_, rows), (_, rows_up) = [entry for entry in log if entry[0] == "vector"]
+            assert rows == rows_up
+            full = loop_eigenvector(d, e, sigma)
+            depth = math.sqrt(tol / (64.0 * max(1.0, float(np.max(np.abs(e), initial=0.0)))))
+            assert np.max(np.abs(v - full)) <= self.CUT_ERROR * depth * np.max(np.abs(full))
+            assert not v[rows:].any()
+            if np.all(e[: rows - 1] < 0.0):
+                assert np.all(v[:rows] > 0.0)
+            if rows == d.size:
+                assert v.tobytes() == full.tobytes()
+            cut.append(rows < d.size)
+        assert any(cut)
+
     def test_exact_singular_shift_survives(self):
         # sigma exactly an eigenvalue of 1x1 blocks: every pivot is zero
-        v = _kernels.eigenvector(np.ones(3), np.zeros(2), 1.0)
+        v = _kernels.eigenvector(np.ones(3), np.zeros(2), 1.0, 1e-13)
         assert np.all(np.isfinite(v))
         assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
 
@@ -666,7 +743,7 @@ class TestEigenvector:
         e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
         norm = max(1.0, float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
         sigma = _kernels.smallest_eigenvalue(d, e, 1e-13 * norm)
-        v = _kernels.eigenvector(d, e, sigma)
+        v = _kernels.eigenvector(d, e, sigma, 1e-13 * norm)
         assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
         # the twisted factorization solves (T - sigma) v = gamma_k e_k, a
         # residual no larger than the eigenvalue's own error allows
