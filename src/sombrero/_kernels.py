@@ -29,13 +29,13 @@ under abs_tol, so the bisection solves the leading block of rows
 abs_tol and an ulp above the bisected eigenvalue, and exactly 0 past
 it: the entries it drops lie below about sqrt(abs_tol / (64 max|e|))
 of the peak.  One helper (_matrix) sets up what both kernels read, the
-reach that ends the block included.  Every Sturm walk reads d - x from
-one buffer that numpy fills with the subtraction a Python float would
-make.
+reach that ends the block included.  Each kernel call turns its block
+into Python lists once (_rows), and every walk subtracts x from d_i in
+its loop: a Python float subtraction gives the bits numpy's d - x would.
 """
 
 import math
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -59,46 +59,46 @@ _AIM_STOP = 64.0
 _AIM_WIDTHS = (0.4, 1.0, 4.0, 64.0, 1024.0)
 
 
-def _pivot_below(shifted, e2, pivmin) -> bool:
-    """Whether some LDL^T pivot of a shifted tridiagonal falls below pivmin.
+def _pivot_below(d, e2, x, pivmin) -> bool:
+    """Whether some LDL^T pivot of T - x*I falls below pivmin.
 
-    Walks q_i = shifted_i - e2_i / q_(i-1) from q_(-1) = 1 and stops at
+    Walks q_i = d_i - x - e2_i / q_(i-1) from q_(-1) = 1 and stops at
     the first q_i < pivmin, so a pivot under the floor is never divided
     by.  e2_i couples row i to the row above it, so the walk's first e2
     is 0.
     """
     q = 1.0
-    for si, e2i in zip(shifted, e2):
-        q = si - e2i / q
+    for di, e2i in zip(d, e2):
+        q = di - x - e2i / q
         if q < pivmin:
             return True
     return False
 
 
-def _last_pivot(shifted, e2, pivmin) -> float:
-    """Last pivot of _pivots(shifted, e2, pivmin), over memoryviews."""
+def _last_pivot(d, e2, x, pivmin) -> float:
+    """Last pivot of _pivots(d, e2, x, pivmin), over any iterables."""
     q, floor = 1.0, -pivmin
-    for si, e2i in zip(shifted, chain((0.0,), e2)):
-        q = si - e2i / q
+    for di, e2i in zip(d, e2):
+        q = di - x - e2i / q
         if q < pivmin and q > floor:
             q = floor
     return q
 
 
-def _twisted_gap(shifted, e2, k, pivmin) -> float:
-    """gamma_k = shifted_k - e2_(k-1) / D+_(k-1) - e2_k / D-_(k+1).
+def _twisted_gap(d, e2, d_up, e2_up, k, x, pivmin) -> float:
+    """gamma_k = d_k - x - e2_k / D+_(k-1) - e2_(k+1) / D-_(k+1).
 
-    The twisted factorization's gap at index k (see eigenvector) of the
-    tridiagonal with diagonal shifted = d - x and squared off-diagonal
-    e2, from a top-down walk to k - 1 and a bottom-up walk to k + 1 over
-    memoryviews; it is 1 / [(T - x*I)^-1]_kk, so as a function of x it
+    The twisted factorization's gap at index k (see eigenvector) of
+    T - x*I, for the lists of _rows, top-down (d, e2) and bottom-up
+    (d_up, e2_up), from a top-down walk to k - 1 and a bottom-up walk to
+    k + 1; it is 1 / [(T - x*I)^-1]_kk, so as a function of x it
     vanishes at an eigenvalue and is near linear close to one.
     """
-    gap = shifted[k]
+    gap = d[k] - x
     if k > 0:
-        gap -= e2[k - 1] / _last_pivot(shifted[:k], e2[: k - 1], pivmin)
-    if k < len(shifted) - 1:
-        gap -= e2[k] / _last_pivot(shifted[:k:-1], e2[:k:-1], pivmin)
+        gap -= e2[k] / _last_pivot(islice(d, k), e2, x, pivmin)
+    if k < len(d) - 1:
+        gap -= e2[k + 1] / _last_pivot(islice(d_up, len(d) - 1 - k), e2_up, x, pivmin)
     return gap
 
 
@@ -211,8 +211,8 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
     estimate = math.nan if estimate is None else float(estimate)
     bottom, top = float(np.min(lower)), float(np.min(d))
-    # numpy's d - x overflows where a Python float subtraction would, to
-    # the same infinity, and _tail's decay ratio divides by a zero radius
+    # _tail's d - x may overflow, to the infinity a Python float
+    # subtraction gives, and its decay ratio divides by a zero radius
     with np.errstate(divide="ignore", over="ignore"):
         x_tail = estimate + _AIM_SPREAD * abs_tol if math.isfinite(estimate) else top
         s = _tail(d, radius, lower, x_tail, reach)
@@ -232,20 +232,13 @@ def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
     hi = float(d[k])
     spread = _AIM_SPREAD * abs_tol
     warm = math.isfinite(estimate)
-    # each walk reads d - x from one buffer, which numpy fills with the
-    # subtraction a Python float would do; memoryviews hand out one
-    # Python float at a time (a tolist() copy iterates ~15% faster but
-    # holds n float objects per array)
-    shifted = np.empty(d.shape[0])
-    sv, e2v = memoryview(shifted), memoryview(e2)
-
-    def pivot_below(x):
-        np.subtract(d, x, out=shifted)
-        return _pivot_below(sv, e2v, pivmin)
+    # every walk of this call reads the same lists: about 80 B per row
+    # (80 kB at 1000 rows, 640 kB at the 8000-cell cap), and they iterate
+    # faster than memoryviews over numpy arrays
+    top_down, bottom_up = _rows(d, e2)
 
     def gap(x):
-        np.subtract(d, x, out=shifted)
-        return _twisted_gap(sv, e2v[1:], k, pivmin)
+        return _twisted_gap(*top_down, *bottom_up, k, x, pivmin)
 
     aim = True
     while hi - lo > abs_tol:
@@ -256,7 +249,7 @@ def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
             for w in _AIM_WIDTHS:
                 for point in (x - w * abs_tol, x + w * abs_tol):
                     if lo < point < hi:
-                        if pivot_below(point):
+                        if _pivot_below(*top_down, point, pivmin):
                             hi = point
                         else:
                             lo = point
@@ -264,26 +257,38 @@ def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
         mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
-        if pivot_below(mid):
+        if _pivot_below(*top_down, mid, pivmin):
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def _pivots(shifted, e2, pivmin) -> np.ndarray:
-    """Every LDL^T pivot of a shifted tridiagonal, from the top down.
+def _rows(d, e2):
+    """The block (d, e2), e2 led by a 0, as Python lists, for its walks.
 
-    Walks q_0 = shifted_0, q_i = shifted_i - e2_(i-1) / q_(i-1), the
-    recurrence _pivot_below walks, but to the end, with each |q_i| <
-    pivmin floored to -pivmin so that no pivot is an exact zero.
+    Returns the pairs (d, e2) top-down and (d, e2) reversed for the
+    bottom-up walks, e2 again led by a 0.  The walks read Python floats,
+    which skip numpy's per-element boxing; d and e2 hold one float
+    object and one pointer per row, and the reversals a pointer to the
+    same objects.
+    """
+    d, e2 = d.tolist(), e2.tolist()
+    return (d, e2), (d[::-1], [0.0, *e2[:0:-1]])
+
+
+def _pivots(d, e2, x, pivmin) -> np.ndarray:
+    """Every LDL^T pivot of T - x*I, from the top down.
+
+    Walks q_i = d_i - x - e2_i / q_(i-1) from q_(-1) = 1, e2 led by a
+    0, the recurrence _pivot_below walks, but to the end, with each
+    |q_i| < pivmin floored to -pivmin so that no pivot is an exact zero.
     """
     out = []
     append = out.append
-    # q_0 = shifted_0 - 0 / 1 starts the recurrence with no special case
     q, floor = 1.0, -pivmin
-    for si, e2i in zip(memoryview(shifted), chain((0.0,), memoryview(e2))):
-        q = si - e2i / q
+    for di, e2i in zip(d, e2):
+        q = di - x - e2i / q
         if q < pivmin and q > floor:
             q = floor
         append(q)
@@ -327,10 +332,10 @@ def eigenvector(d, e, sigma, abs_tol) -> np.ndarray:
         # abs_tol is under half its ulp): below it, the tail could cut off
         # a row that zero couplings isolate and that holds the state
         s = _tail(d, radius, lower, math.nextafter(sigma + abs_tol, math.inf), reach)
-    # the block's couplings are e2[1 : s + 1] top-down, e2[s:0:-1] bottom-up
+    top_down, bottom_up = _rows(d[: s + 1], e2[: s + 1])
+    down = _pivots(*top_down, sigma, pivmin)
+    up = _pivots(*bottom_up, sigma, pivmin)[::-1]
     shifted = d[: s + 1] - sigma
-    down = _pivots(shifted, e2[1 : s + 1], pivmin)
-    up = _pivots(shifted[::-1], e2[s:0:-1], pivmin)[::-1]
     x = np.zeros(d.shape[0])
     block = x[: s + 1]
     with np.errstate(over="ignore", invalid="ignore"):

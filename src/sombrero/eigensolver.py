@@ -12,12 +12,14 @@ extrapolated twice: each consecutive pair cancels the leading O(dr^2)
 error, and each consecutive pair of those the O(dr^4) one.  The ladder
 stops once the error estimate of the twice-extrapolated energy, which
 adds the bisection's tolerance and the eigenvalues' round-off to the
-extrapolation's own estimate, meets an accuracy target.  The
-groundstate vector comes from one twisted
-factorization on the finest grid.  Each solve uses one domain: an
-explicit r_max, or for the sextic family one derived from the
-potential's own length scale, so that a rescaled potential r -> s r
-gets a domain exactly s times as wide.
+extrapolation's own estimate, meets an accuracy target.  It never
+stops before its fourth level, so those four levels' operators come
+from one pass that calls V once on all their radii.  The groundstate
+vector comes from one twisted factorization on the finest grid.  Each
+solve uses one domain: an explicit r_max, or for the sextic family one
+derived from the potential's own length scale, so that a rescaled
+potential r -> s r gets a domain exactly s times as wide, and warns at
+most once that the domain looks too short.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -135,54 +137,90 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
 
     potential is either PotentialParams or a vectorized callable V(r)
     (then n_dim is required); extra_potential, if given, is subtracted
-    from V.  Raises ValueError naming the first grid radius where
-    V - extra_potential is NaN or infinite, or failing that where a
-    diagonal entry or an off-diagonal entry's square is (the r^(N-1)
-    weights or 1/dr^2 overflow): every operator it returns has the
-    finite d and e*e the kernels require.  Warns when V(r_max) is below
-    10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may truncate
-    a barely confined state; both terms scale like V under r -> s r, so
-    the test does not depend on the choice of units.
+    from V.  Both are called on 1-D arrays of radii, which need not be
+    one grid's (groundstate passes several grids' radii at once), so
+    they must act elementwise.  Raises ValueError naming the first grid
+    radius where V - extra_potential is NaN or infinite, or failing that
+    where a diagonal entry or an off-diagonal entry's square is (the
+    r^(N-1) weights or 1/dr^2 overflow): every operator it returns has
+    the finite d and e*e the kernels require.  Warns when V(r_max) is
+    below 10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may
+    truncate a barely confined state; both terms scale like V under
+    r -> s r, so the test does not depend on the choice of units.
+    groundstate builds its operators with the same code (_operators)
+    and warns once per solve.
     """
     if grid is None:
         raise ValueError("discretize requires a RadialGrid")
     v_at, ndim = _resolve_potential(potential, n_dim)
-    r = grid.points
-    dr = grid.spacing
-    n = grid.n_points
+    ((diag, off),) = _operators(v_at, extra_potential, grid.r_max, ndim, (grid.n_points,))
+    _warn_if_short(v_at, grid.r_max)
+    return TridiagonalOperator(diag=diag, off_diag=off, grid=grid)
 
+
+def _operators(v_at, extra_potential, r_max, ndim, sizes) -> list:
+    """(diag, off) of discretize's operator for each cell count in sizes, in one pass.
+
+    V and extra_potential are called once each, on every level's radii
+    (j + 1/2) r_max / n concatenated in the order of sizes.  The flux
+    weights depend on the cell index j alone, so each level takes a
+    prefix of the largest level's and divides it by its own 2 dr^2;
+    every entry has the bits a one-level pass gives it.  The levels'
+    diag and off are views of one array each, checked once.  Raises
+    discretize's ValueError for the first level in sizes that fails,
+    with the check on V before the one on the operator.
+    """
+    spacing = [r_max / n for n in sizes]
+    r = np.concatenate([(np.arange(n) + 0.5) * dr for n, dr in zip(sizes, spacing)])
     # what overflows is reported by the checks below, not by numpy
     with np.errstate(all="ignore"):
         v = np.asarray(v_at(r), dtype=float)
         if extra_potential is not None:
             v = v - np.asarray(extra_potential(r), dtype=float)
-        _require_finite(v, r)
 
         # the r^(N-1) weights enter only as ratios of face to cell radii,
         # in units of dr, which stay near 1: nothing underflows at any N
-        faces = np.arange(n + 1.0)
+        faces = np.arange(max(sizes) + 1.0)
         cells = faces[:-1] + 0.5
         inner = (faces[:-1] / cells) ** (ndim - 1.0)
         inner[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
-        outer = (faces[1:] / cells) ** (ndim - 1.0)
-        diag = (inner + outer) / (2.0 * dr * dr) + v
-        off = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0)) / (2.0 * dr * dr)
+        kinetic = inner + (faces[1:] / cells) ** (ndim - 1.0)  # inner plus outer face
+        coupling = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0))
+        diag, off = np.empty(r.size), np.empty(r.size - len(sizes))
+        ops, row = [], 0
+        for k, (n, dr) in enumerate(zip(sizes, spacing)):
+            scale = 2.0 * dr * dr
+            # level k's couplings start k entries before its rows do
+            d, e = diag[row : row + n], off[row - k : row - k + n - 1]
+            np.add(np.divide(kinetic[:n], scale, out=d), v[row : row + n], out=d)
+            np.divide(coupling[: n - 1], scale, out=e)
+            ops.append((d, e))
+            row += n
         # the kernels take only a finite diag and off * off
         if not (np.isfinite(diag).all() and np.isfinite(off * off).all()):
-            bad = ~np.isfinite(diag)
-            bad[:-1] |= ~np.isfinite(off * off)
-            j = np.flatnonzero(bad)[0]
-            raise ValueError(f"operator is not finite at r = {r[j]:.9g} (N = {ndim}, dr = {dr:.3g})")
+            bounds = np.cumsum(sizes)[:-1]
+            for (d, e), rs, vs, dr in zip(ops, np.split(r, bounds), np.split(v, bounds), spacing):
+                _require_finite(vs, rs)
+                bad = ~np.isfinite(d)
+                bad[:-1] |= ~np.isfinite(e * e)
+                if bad.any():
+                    j = np.flatnonzero(bad)[0]
+                    raise ValueError(f"operator is not finite at r = {rs[j]:.9g} (N = {ndim}, dr = {dr:.3g})")
+    return ops
 
-        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
-    if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
+
+def _warn_if_short(v_at, r_max: float) -> None:
+    """Warn GridExtentWarning when V(r_max) < 10 max(|V(0)|, 1/r_max^2)
+    (see discretize), pointing at the caller of the function calling this."""
+    with np.errstate(all="ignore"):
+        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, r_max]))))
+    if v_edge < 10.0 * max(abs(v_origin), 1.0 / r_max**2):
         warnings.warn(
-            f"V(r_max={grid.r_max:g}) = {v_edge:.3g} is small; the domain may be "
+            f"V(r_max={r_max:g}) = {v_edge:.3g} is small; the domain may be "
             "too short to confine the groundstate",
             GridExtentWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return TridiagonalOperator(diag=diag, off_diag=off, grid=grid)
 
 
 def _require_finite(v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -284,6 +322,14 @@ def groundstate(
     finest grid's eigenvalue, over the leading block that its bisection
     tolerance leaves, and 0 past it.
 
+    The operators are discretize's.  The ladder never stops before its
+    fourth level, so the first four are built in one pass, with one call
+    of V (and of extra_potential) on all their radii concatenated; each
+    later level takes one call of its own.  Like discretize's, these
+    callables must act elementwise on any 1-D array of radii.  V is also
+    called once at 0 and r_max, for discretize's GridExtentWarning,
+    which a solve gives at most once.
+
     When two consecutive raw eigenvalues disagree by more than 1/dr^2 of
     the coarser grid (grid too coarse), the extrapolation starts over
     from the finer level, and at the finest pair this raises
@@ -292,9 +338,10 @@ def groundstate(
     (E_k after a restart at the second-finest) and reports the size of
     its last Richardson correction as the discretization part of the
     estimate.  Raises ValueError unless n_points is a multiple of 8 and
-    at least 128 and 1/r_max^2, the unit of every energy threshold, is
-    finite and nonzero (and from discretize), and RuntimeError when the
-    energy or the vector is not finite or the vector changes sign.
+    at least 128, r_max > 0 and 1/r_max^2, the unit of every energy
+    threshold, is finite and nonzero (and discretize's, for the first
+    level that fails), and RuntimeError when the energy or the vector
+    is not finite or the vector changes sign.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -320,18 +367,24 @@ def groundstate(
         raise ValueError(f"r_max must have a finite, nonzero 1/r_max^2, got {r_max:g}")
     target = _LADDER_TARGET * unit
     bisect_tol = target / 100.0
+    if not r_max > 0.0:
+        raise ValueError(f"r_max must be > 0, got {r_max}")
+    # the ladder never stops before its fourth level: build the first four
+    # at once, and each later one on its own
+    first = _operators(v_at, extra_potential, r_max, ndim, levels[:4])
+    _warn_if_short(v_at, r_max)
     # per level since the last restart, coarsest first: [e_k, E_k, E2_k],
     # as far as the levels below reach
     rows = []
     estimate = None
-    for n in levels:
-        op = discretize(v_at, extra_potential, RadialGrid.make(r_max, n), n_dim=ndim)
+    for k, n in enumerate(levels):
+        diag, off = first[k] if k < len(first) else _operators(v_at, extra_potential, r_max, ndim, (n,))[0]
         # whatever the estimate, each level lies within bisect_tol / 2 +
         # bisect_tol / 64 of its eigenvalue (the bracket and the tail, see
         # _kernels.smallest_eigenvalue), and E2 weights three levels by
         # (64, -20, 1) / 45, so the bisections move E2 by at most
         # 85/45 * 0.516 < 1 bisect_tol, the share error_estimate adds
-        e_fine = float(_kernels.smallest_eigenvalue(op.diag, op.off_diag, bisect_tol, estimate))
+        e_fine = float(_kernels.smallest_eigenvalue(diag, off, bisect_tol, estimate))
         if rows:
             e_coarse = rows[-1][0]
             coarse_kinetic = (n / 2.0 / r_max) ** 2
@@ -370,14 +423,14 @@ def groundstate(
     energy = rows[-1][-1]
     if not math.isfinite(energy):
         raise RuntimeError("groundstate energy is not finite")
-    # op is the finest grid's operator, the last one the loop built
-    vec = _kernels.eigenvector(op.diag, op.off_diag, e_fine, bisect_tol)
+    # diag and off are the finest grid's operator, the last one the loop built
+    vec = _kernels.eigenvector(diag, off, e_fine, bisect_tol)
     if not np.isfinite(vec).all():
         raise RuntimeError("groundstate vector is not finite")
     if vec.min() < -1e-8 * vec.max():
         raise RuntimeError("groundstate vector changed sign; eigenpair suspect")
 
-    grid = op.grid
+    grid = RadialGrid.make(r_max, n)
     r = grid.points
     dr = grid.spacing
     # sum psi^2 r^(N-1) dr = 1 from vec's own squares, so that r^(N-1),

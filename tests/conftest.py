@@ -52,19 +52,21 @@ def log_walks(monkeypatch) -> list:
     log = []
     pivot_below, last_pivot, pivots = _kernels._pivot_below, _kernels._last_pivot, _kernels._pivots
 
-    def counted_pivot_below(shifted, e2, pivmin):
-        rows = _Counted(shifted)
-        answer = pivot_below(rows, e2, pivmin)
+    def counted_pivot_below(d, e2, x, pivmin):
+        rows = _Counted(d)
+        answer = pivot_below(rows, e2, x, pivmin)
         log.append(("yes" if answer else "no", rows.taken))
         return answer
 
-    def counted_last_pivot(shifted, e2, pivmin):
-        log.append(("gamma", len(shifted)))
-        return last_pivot(shifted, e2, pivmin)
+    def counted_last_pivot(d, e2, x, pivmin):
+        rows = _Counted(d)
+        q = last_pivot(rows, e2, x, pivmin)
+        log.append(("gamma", rows.taken))
+        return q
 
-    def counted_pivots(shifted, e2, pivmin):
-        log.append(("vector", len(shifted)))
-        return pivots(shifted, e2, pivmin)
+    def counted_pivots(d, e2, x, pivmin):
+        log.append(("vector", len(d)))
+        return pivots(d, e2, x, pivmin)
 
     monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
     monkeypatch.setattr(_kernels, "_last_pivot", counted_last_pivot)

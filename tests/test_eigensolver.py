@@ -29,7 +29,7 @@ from sombrero import (
     verify_solution,
 )
 from sombrero import _kernels, eigensolver
-from conftest import log_walks, random_potential
+from conftest import SQRT3, log_walks, random_potential
 
 
 # |E - truth| <= ESTIMATE_FACTOR * error_estimate on closed-form cases;
@@ -506,24 +506,25 @@ class TestScaleCovariance:
 
 
 class TestStages:
-    """One domain per solve: one discretization per grid level and one eigenvector."""
+    """One domain per solve: one bisection per grid level and one eigenvector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"eigenvector": 0, "vector_size": None, "discretize": []}
-        eigenvector, discretize_ = _kernels.eigenvector, eigensolver.discretize
+        # "levels": the cells of each bisection's matrix, one per ladder level
+        calls = {"eigenvector": 0, "vector_size": None, "levels": []}
+        eigenvector, smallest_eigenvalue = _kernels.eigenvector, _kernels.smallest_eigenvalue
 
         def counted_eigenvector(*args):
             calls["eigenvector"] += 1
             calls["vector_size"] = len(args[0])
             return eigenvector(*args)
 
-        def recorded_discretize(potential, extra_potential, grid, **kwargs):
-            calls["discretize"].append((grid.r_max, grid.n_points))
-            return discretize_(potential, extra_potential, grid, **kwargs)
+        def recorded_bisection(*args):
+            calls["levels"].append(len(args[0]))
+            return smallest_eigenvalue(*args)
 
         monkeypatch.setattr(_kernels, "eigenvector", counted_eigenvector)
-        monkeypatch.setattr(eigensolver, "discretize", recorded_discretize)
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", recorded_bisection)
         return calls
 
     @pytest.mark.parametrize("g", [1.5, 0.01])
@@ -536,7 +537,7 @@ class TestStages:
         assert calls["eigenvector"] == 1
         # an explicit grid caps the ladder, which meets its target at 1000
         # cells, below the 2000-cell cap; the vector is on the last level
-        assert calls["discretize"] == [(r_max, 125), (r_max, 250), (r_max, 500), (r_max, 1000)]
+        assert calls["levels"] == [125, 250, 500, 1000]
         assert calls["vector_size"] == 1000
 
     @pytest.mark.parametrize("g", [1.5, 0.01])
@@ -545,8 +546,7 @@ class TestStages:
         # stops at the level where the worked case does
         (eta,) = solve_eta(1.5, 3)
         res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential)
-        r_max = res.grid.r_max
-        assert calls["discretize"] == [(r_max, 125), (r_max, 250), (r_max, 500), (r_max, 1000)]
+        assert calls["levels"] == [125, 250, 500, 1000]
         assert calls["eigenvector"] == 1
         assert calls["vector_size"] == 1000
         assert res.grid.n_points == 1000
@@ -554,7 +554,7 @@ class TestStages:
     def test_unmet_target_stops_at_the_cap(self, worked_potential, calls, monkeypatch):
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         res = groundstate(worked_potential, r_max=8.0)
-        assert [n for _, n in calls["discretize"]] == [125, 250, 500, 1000, 2000, 4000, 8000]
+        assert calls["levels"] == [125, 250, 500, 1000, 2000, 4000, 8000]
         assert calls["vector_size"] == 8000
         assert res.grid.n_points == 8000
         assert abs(res.energy) < 1e-8
@@ -641,9 +641,37 @@ class TestStages:
         assert [rows for kind, rows in log if kind == "vector"] == [376, 376]
 
     def test_explicit_domain(self, worked_potential, calls):
-        groundstate(worked_potential, r_max=8.0, n_points=2000)
+        assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.r_max == 8.0
         assert calls["eigenvector"] == 1
-        assert calls["discretize"] == [(8.0, 125), (8.0, 250), (8.0, 500), (8.0, 1000)]
+        assert calls["levels"] == [125, 250, 500, 1000]
+
+    def test_potential_evaluations(self, worked_potential, monkeypatch):
+        # V is called on the extent check's two points and once on the
+        # first four levels' radii, 125 + 250 + 500 + 1000; each later
+        # level takes one call of its own
+        sizes = []
+
+        def v(r):
+            sizes.append(r.size)
+            return eigensolver.eval_potential(worked_potential, r)
+
+        assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 1000
+        assert sorted(sizes) == [2, 1875]
+        sizes.clear()
+        monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
+        assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 2000
+        assert sorted(sizes) == [2, 1875, 2000]
+
+    def test_one_extent_warning_per_solve(self):
+        # the short free-particle domain warned once per ladder level, from
+        # 64 to 512 cells; the warning points at the caller of groundstate,
+        # as discretize's points at the caller of discretize
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            groundstate(lambda r: 0.0 * r, n_dim=1, r_max=math.pi, n_points=512)
+            discretize(lambda r: 0.0 * r, grid=RadialGrid.make(math.pi, 64), n_dim=1)
+        assert [w.category for w in caught] == [GridExtentWarning, GridExtentWarning]
+        assert [w.filename for w in caught] == [__file__, __file__]
 
     @pytest.mark.parametrize(
         "spoil, message",
@@ -666,6 +694,71 @@ class TestStages:
         # too, but the Richardson step's 4 e_k overflows
         with pytest.warns(GridExtentWarning), pytest.raises(RuntimeError, match="^groundstate energy is not finite$"):
             groundstate(lambda r: 1e308 + 0.0 * r, r_max=1.0, n_dim=1, n_points=128)
+
+
+class TestOperators:
+    """groundstate's one-pass build of several grid levels (_operators)
+    against discretize on each level alone: the same bits, and the same
+    error as a level-by-level loop, coarsest level first."""
+
+    @staticmethod
+    def per_level(potential, extra_potential, r_max, n_dim, levels):
+        """discretize on each level, coarsest first, or the text of its first ValueError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridExtentWarning)
+            try:
+                return [discretize(potential, extra_potential, RadialGrid.make(r_max, n), n_dim=n_dim) for n in levels]
+            except ValueError as exc:
+                return str(exc)
+
+    def assert_same_bits(self, potential, extra_potential, r_max, n_dim):
+        v_at, ndim = eigensolver._resolve_potential(potential, n_dim)
+        levels = eigensolver._ladder(8000)
+        ops = self.per_level(potential, extra_potential, r_max, n_dim, levels)
+        # groundstate's first four levels, and the whole ladder in one pass
+        for count in (4, len(levels)):
+            got = eigensolver._operators(v_at, extra_potential, r_max, ndim, levels[:count])
+            assert len(got) == count
+            for (diag, off), op in zip(got, ops):
+                assert diag.tobytes() == op.diag.tobytes()
+                assert off.tobytes() == op.off_diag.tobytes()
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 5, 9, 49])
+    @pytest.mark.parametrize("auto_domain", [True, False], ids=["auto_domain", "r_max_8"])
+    def test_potential_params(self, n_dim, auto_domain):
+        p = PotentialParams(g=1.5, alpha=2.0 * SQRT3, beta=2.0, bigA=2.0 * SQRT3 / 3.0, n_dim=n_dim)
+        r_max = eigensolver._domain_radius(p) if auto_domain else 8.0
+        self.assert_same_bits(p, None, r_max, None)
+
+    def test_callable_with_extra_potential(self):
+        p = random_potential(np.random.default_rng(5))
+        split = trial_split(p, derive_trial(p))
+        self.assert_same_bits(lambda r: eigensolver.eval_potential(p, r), split.h_at, 8.0, p.n_dim)
+
+    # r_max = 8 on 16 to 128 cells: the 16-cell level's first radius is
+    # 0.25, the finer levels' 0.125, 0.0625 and 0.03125.  On r_max =
+    # 1.2e-76 the off-diagonal's square overflows from the 32-cell level on
+    @pytest.mark.parametrize(
+        "v, r_max",
+        [
+            (lambda r: np.where(r < 0.2, np.nan, 0.5 * r * r), 8.0),
+            (lambda r: np.where(r < 0.1, np.inf, 0.5 * r * r), 8.0),
+            (lambda r: 0.5 * r * r, 1.2e-76),
+            (lambda r: np.where(r < 2.5e-78, np.nan, 0.5 * r * r), 1.2e-76),
+            (lambda r: np.where(r < 1.5e-78, np.nan, 0.5 * r * r), 1.2e-76),
+        ],
+        ids=["v_on_level_2", "v_on_level_3", "operator_on_level_2", "v_before_operator", "operator_before_v"],
+    )
+    def test_first_failing_level_raises_as_the_loop(self, v, r_max):
+        levels = eigensolver._ladder(128)
+        assert isinstance(self.per_level(v, None, r_max, 1, levels[:1]), list)  # the first level is finite
+        message = self.per_level(v, None, r_max, 1, levels)
+        assert isinstance(message, str)
+        with pytest.raises(ValueError) as exc:
+            eigensolver._operators(v, None, r_max, 1, levels)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            groundstate(v, n_dim=1, r_max=r_max, n_points=128)
 
 
 class TestPinnedAnswers:

@@ -170,11 +170,10 @@ def gap_pole(d, e):
 
 def aimed_gap(d, e, x):
     """gamma_k(x) at the index k = argmin(d) that smallest_eigenvalue aims with."""
-    e2 = e * e
-    pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
-    with np.errstate(over="ignore"):
-        shifted = d - x
-    return _kernels._twisted_gap(memoryview(shifted), memoryview(e2), int(np.argmin(d)), pivmin)
+    e2 = np.concatenate(([0.0], e * e))
+    pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2)))
+    top, bottom = _kernels._rows(d, e2)
+    return _kernels._twisted_gap(*top, *bottom, int(np.argmin(d)), x, pivmin)
 
 
 def _worked_case():
@@ -585,16 +584,17 @@ class TestWalksMatchLoopReference:
             e2 = e * e
             # the walks take any pivmin; this one skips the NaNs in e2
             pivmin = _kernels._SAFMIN * float(np.fmax.reduce(e2, initial=1.0))
+            # the walks' lists, e2 led by a 0 top-down and bottom-up
+            top, bottom = _kernels._rows(d, np.concatenate(([0.0], e2)))
             for x in shifts:
-                with np.errstate(all="ignore"):
-                    shifted = d - x
-                for s, s2 in ((shifted, e2), (shifted[::-1], e2[::-1])):  # eigenvector's two walks
-                    got = _kernels._pivots(s, s2, pivmin)
-                    assert got.dtype == np.float64 and got.shape == s.shape
-                    assert got.tobytes() == loop_pivots(s, s2, pivmin).tobytes(), (d, e, x)
-                for dd, ee in ((d, e2), (d[::-1], e2[::-1])):  # _twisted_gap's two walks
+                # top-down and bottom-up: the eigenvector's two walks, and _twisted_gap's
+                for (rows, couplings), dd, ee in ((top, d, e2), (bottom, d[::-1], e2[::-1])):
                     with np.errstate(all="ignore"):
-                        got = _kernels._last_pivot(memoryview(dd - x), memoryview(ee), pivmin)
+                        shifted = dd - x
+                    got = _kernels._pivots(rows, couplings, x, pivmin)
+                    assert got.dtype == np.float64 and got.shape == dd.shape
+                    assert got.tobytes() == loop_pivots(shifted, ee, pivmin).tobytes(), (d, e, x)
+                    got = _kernels._last_pivot(rows, couplings, x, pivmin)
                     ref = loop_last_pivot(x, dd, ee, pivmin)
                     assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d, e, x)
 
