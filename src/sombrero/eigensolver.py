@@ -13,7 +13,8 @@ error, and each consecutive pair of those the O(dr^4) one.  The ladder
 stops once the error estimate of the twice-extrapolated energy, which
 adds the bisection's tolerance and the eigenvalues' round-off to the
 extrapolation's own estimate, meets an accuracy target.  It never
-stops before its fourth level, so those four levels' operators come
+stops before its fourth level: the first level's operator comes from
+discretize, which also checks the domain's extent, and the next three
 from one pass that calls V once on all their radii.  The groundstate
 vector comes from one twisted factorization on the finest grid.  Each
 solve uses one domain: an explicit r_max, or for the sextic family one
@@ -26,6 +27,7 @@ it is the truth oracle the analytic solutions are checked against.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -146,15 +148,27 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     the finite d and e*e the kernels require.  Warns when V(r_max) is
     below 10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may
     truncate a barely confined state; both terms scale like V under
-    r -> s r, so the test does not depend on the choice of units.
-    groundstate builds its operators with the same code (_operators)
-    and warns once per solve.
+    r -> s r, so the test does not depend on the choice of units.  The
+    warning points at the first caller outside this module: groundstate
+    builds its first level with discretize and its others with the same
+    code (_operators), so a solve warns at most once, at its caller.
     """
     if grid is None:
         raise ValueError("discretize requires a RadialGrid")
     v_at, ndim = _resolve_potential(potential, n_dim)
     ((diag, off),) = _operators(v_at, extra_potential, grid.r_max, ndim, (grid.n_points,))
-    _warn_if_short(v_at, grid.r_max)
+    with np.errstate(all="ignore"):
+        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
+    if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(
+            f"V(r_max={grid.r_max:g}) = {v_edge:.3g} is small; the domain may be "
+            "too short to confine the groundstate",
+            GridExtentWarning,
+            stacklevel=level,
+        )
     return TridiagonalOperator(diag=diag, off_diag=off, grid=grid)
 
 
@@ -165,8 +179,7 @@ def _operators(v_at, extra_potential, r_max, ndim, sizes) -> list:
     (j + 1/2) r_max / n concatenated in the order of sizes.  The flux
     weights depend on the cell index j alone, so each level takes a
     prefix of the largest level's and divides it by its own 2 dr^2;
-    every entry has the bits a one-level pass gives it.  The levels'
-    diag and off are views of one array each, checked once.  Raises
+    every entry has the bits a one-level pass gives it.  Raises
     discretize's ValueError for the first level in sizes that fails,
     with the check on V before the one on the operator.
     """
@@ -186,41 +199,22 @@ def _operators(v_at, extra_potential, r_max, ndim, sizes) -> list:
         inner[0] = 0.0  # zero flux through r = 0: psi'(0) = 0 in every dimension
         kinetic = inner + (faces[1:] / cells) ** (ndim - 1.0)  # inner plus outer face
         coupling = -((faces[1:-1] / np.sqrt(cells[:-1] * cells[1:])) ** (ndim - 1.0))
-        diag, off = np.empty(r.size), np.empty(r.size - len(sizes))
         ops, row = [], 0
-        for k, (n, dr) in enumerate(zip(sizes, spacing)):
+        for n, dr in zip(sizes, spacing):
+            rs, vs = r[row : row + n], v[row : row + n]
             scale = 2.0 * dr * dr
-            # level k's couplings start k entries before its rows do
-            d, e = diag[row : row + n], off[row - k : row - k + n - 1]
-            np.add(np.divide(kinetic[:n], scale, out=d), v[row : row + n], out=d)
-            np.divide(coupling[: n - 1], scale, out=e)
-            ops.append((d, e))
-            row += n
-        # the kernels take only a finite diag and off * off
-        if not (np.isfinite(diag).all() and np.isfinite(off * off).all()):
-            bounds = np.cumsum(sizes)[:-1]
-            for (d, e), rs, vs, dr in zip(ops, np.split(r, bounds), np.split(v, bounds), spacing):
+            diag = kinetic[:n] / scale + vs
+            off = coupling[: n - 1] / scale
+            # the kernels take only a finite diag and off * off
+            if not (np.isfinite(diag).all() and np.isfinite(off * off).all()):
                 _require_finite(vs, rs)
-                bad = ~np.isfinite(d)
-                bad[:-1] |= ~np.isfinite(e * e)
-                if bad.any():
-                    j = np.flatnonzero(bad)[0]
-                    raise ValueError(f"operator is not finite at r = {rs[j]:.9g} (N = {ndim}, dr = {dr:.3g})")
+                bad = ~np.isfinite(diag)
+                bad[:-1] |= ~np.isfinite(off * off)
+                j = np.flatnonzero(bad)[0]
+                raise ValueError(f"operator is not finite at r = {rs[j]:.9g} (N = {ndim}, dr = {dr:.3g})")
+            ops.append((diag, off))
+            row += n
     return ops
-
-
-def _warn_if_short(v_at, r_max: float) -> None:
-    """Warn GridExtentWarning when V(r_max) < 10 max(|V(0)|, 1/r_max^2)
-    (see discretize), pointing at the caller of the function calling this."""
-    with np.errstate(all="ignore"):
-        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, r_max]))))
-    if v_edge < 10.0 * max(abs(v_origin), 1.0 / r_max**2):
-        warnings.warn(
-            f"V(r_max={r_max:g}) = {v_edge:.3g} is small; the domain may be "
-            "too short to confine the groundstate",
-            GridExtentWarning,
-            stacklevel=3,
-        )
 
 
 def _require_finite(v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -322,13 +316,13 @@ def groundstate(
     finest grid's eigenvalue, over the leading block that its bisection
     tolerance leaves, and 0 past it.
 
-    The operators are discretize's.  The ladder never stops before its
-    fourth level, so the first four are built in one pass, with one call
-    of V (and of extra_potential) on all their radii concatenated; each
-    later level takes one call of its own.  Like discretize's, these
-    callables must act elementwise on any 1-D array of radii.  V is also
-    called once at 0 and r_max, for discretize's GridExtentWarning,
-    which a solve gives at most once.
+    The operators are discretize's.  The first level's comes from
+    discretize itself, with its GridExtentWarning, so a solve warns at
+    most once.  The ladder never stops before its fourth level, so the
+    next three are built in one pass, with one call of V (and of
+    extra_potential) on all their radii concatenated; each later level
+    takes one call of its own.  Like discretize's, these callables must
+    act elementwise on any 1-D array of radii.
 
     When two consecutive raw eigenvalues disagree by more than 1/dr^2 of
     the coarser grid (grid too coarse), the extrapolation starts over
@@ -369,10 +363,12 @@ def groundstate(
     bisect_tol = target / 100.0
     if not r_max > 0.0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
-    # the ladder never stops before its fourth level: build the first four
-    # at once, and each later one on its own
-    first = _operators(v_at, extra_potential, r_max, ndim, levels[:4])
-    _warn_if_short(v_at, r_max)
+    # the ladder never stops before its fourth level: the first comes from
+    # discretize, which checks the domain's extent (and where perfbench's
+    # tracer reads each solve's domain and warnings), the next three from
+    # one pass, and each later one from a pass of its own
+    coarsest = discretize(v_at, extra_potential, RadialGrid.make(r_max, levels[0]), n_dim=ndim)
+    first = [(coarsest.diag, coarsest.off_diag)] + _operators(v_at, extra_potential, r_max, ndim, levels[1:4])
     # per level since the last restart, coarsest first: [e_k, E_k, E2_k],
     # as far as the levels below reach
     rows = []

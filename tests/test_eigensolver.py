@@ -510,9 +510,12 @@ class TestStages:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # "levels": the cells of each bisection's matrix, one per ladder level
-        calls = {"eigenvector": 0, "vector_size": None, "levels": []}
+        # "levels": the cells of each bisection's matrix, one per ladder
+        # level; "built": (r_max, cells) of each operator built, and
+        # "discretize": (r_max, cells) of each grid discretize gets
+        calls = {"eigenvector": 0, "vector_size": None, "levels": [], "built": [], "discretize": []}
         eigenvector, smallest_eigenvalue = _kernels.eigenvector, _kernels.smallest_eigenvalue
+        operators, discretize_ = eigensolver._operators, eigensolver.discretize
 
         def counted_eigenvector(*args):
             calls["eigenvector"] += 1
@@ -523,8 +526,18 @@ class TestStages:
             calls["levels"].append(len(args[0]))
             return smallest_eigenvalue(*args)
 
+        def recorded_operators(v_at, extra_potential, r_max, ndim, sizes):
+            calls["built"] += [(r_max, n) for n in sizes]
+            return operators(v_at, extra_potential, r_max, ndim, sizes)
+
+        def recorded_discretize(potential, extra_potential, grid, **kwargs):
+            calls["discretize"].append((grid.r_max, grid.n_points))
+            return discretize_(potential, extra_potential, grid, **kwargs)
+
         monkeypatch.setattr(_kernels, "eigenvector", counted_eigenvector)
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", recorded_bisection)
+        monkeypatch.setattr(eigensolver, "_operators", recorded_operators)
+        monkeypatch.setattr(eigensolver, "discretize", recorded_discretize)
         return calls
 
     @pytest.mark.parametrize("g", [1.5, 0.01])
@@ -539,6 +552,9 @@ class TestStages:
         # cells, below the 2000-cell cap; the vector is on the last level
         assert calls["levels"] == [125, 250, 500, 1000]
         assert calls["vector_size"] == 1000
+        # every level on the one domain, the first through discretize
+        assert calls["built"] == [(r_max, 125), (r_max, 250), (r_max, 500), (r_max, 1000)]
+        assert calls["discretize"] == [(r_max, 125)]
 
     @pytest.mark.parametrize("g", [1.5, 0.01])
     def test_grid_ladder_on_auto_domain(self, g, calls):
@@ -546,7 +562,10 @@ class TestStages:
         # stops at the level where the worked case does
         (eta,) = solve_eta(1.5, 3)
         res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential)
+        r_max = res.grid.r_max
         assert calls["levels"] == [125, 250, 500, 1000]
+        assert calls["built"] == [(r_max, 125), (r_max, 250), (r_max, 500), (r_max, 1000)]
+        assert calls["discretize"] == [(r_max, 125)]
         assert calls["eigenvector"] == 1
         assert calls["vector_size"] == 1000
         assert res.grid.n_points == 1000
@@ -555,6 +574,8 @@ class TestStages:
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         res = groundstate(worked_potential, r_max=8.0)
         assert calls["levels"] == [125, 250, 500, 1000, 2000, 4000, 8000]
+        assert calls["built"] == [(8.0, n) for n in calls["levels"]]
+        assert calls["discretize"] == [(8.0, 125)]
         assert calls["vector_size"] == 8000
         assert res.grid.n_points == 8000
         assert abs(res.energy) < 1e-8
@@ -644,11 +665,13 @@ class TestStages:
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.r_max == 8.0
         assert calls["eigenvector"] == 1
         assert calls["levels"] == [125, 250, 500, 1000]
+        assert calls["built"] == [(8.0, 125), (8.0, 250), (8.0, 500), (8.0, 1000)]
+        assert calls["discretize"] == [(8.0, 125)]
 
     def test_potential_evaluations(self, worked_potential, monkeypatch):
-        # V is called on the extent check's two points and once on the
-        # first four levels' radii, 125 + 250 + 500 + 1000; each later
-        # level takes one call of its own
+        # V is called by discretize on the first level's 125 radii and the
+        # extent check's two points, then once on the next three levels'
+        # radii, 250 + 500 + 1000; each later level takes one call of its own
         sizes = []
 
         def v(r):
@@ -656,11 +679,11 @@ class TestStages:
             return eigensolver.eval_potential(worked_potential, r)
 
         assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 1000
-        assert sorted(sizes) == [2, 1875]
+        assert sorted(sizes) == [2, 125, 1750]
         sizes.clear()
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 2000
-        assert sorted(sizes) == [2, 1875, 2000]
+        assert sorted(sizes) == [2, 125, 1750, 2000]
 
     def test_one_extent_warning_per_solve(self):
         # the short free-particle domain warned once per ladder level, from
@@ -757,7 +780,9 @@ class TestOperators:
         with pytest.raises(ValueError) as exc:
             eigensolver._operators(v, None, r_max, 1, levels)
         assert str(exc.value) == message
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        # groundstate's first level, from discretize, may warn before a finer one fails
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            warnings.simplefilter("ignore", GridExtentWarning)
             groundstate(v, n_dim=1, r_max=r_max, n_points=128)
 
 
