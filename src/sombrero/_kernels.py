@@ -131,13 +131,15 @@ def _tail(d, radius, lower, x, reach) -> int:
     down to x (its lower end in lower; n - 1, so no tail, when none
     does).  Summed outward from t, the decay exponents
     acosh((d_i - x) / radius_i) first reach reach at row s, or n - 1
-    when the sum stays short of reach before the last row.  d - x may
-    overflow, and a zero radius divide, under the caller's errstate.
+    when the sum stays short of reach before the last row.
     """
     n = d.shape[0]
     t = n - 1 - int(np.argmax(lower[::-1] <= x))
-    decay = (d[t + 1 :] - x) / radius[t + 1 :]
-    s = t + 1 + int(np.searchsorted(np.cumsum(np.arccosh(decay, out=decay), out=decay), reach))
+    # d - x may overflow, to the infinity a Python float subtraction
+    # gives, and the decay ratio divides by a zero radius
+    with np.errstate(divide="ignore", over="ignore"):
+        decay = (d[t + 1 :] - x) / radius[t + 1 :]
+        s = t + 1 + int(np.searchsorted(np.cumsum(np.arccosh(decay, out=decay), out=decay), reach))
     return min(s, n - 1)
 
 
@@ -183,12 +185,13 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     into the recurrence.
 
     Every walk runs over the leading block of rows 0..s only (_tail, at
-    the upper of the secant's two starting points, or at min(d) for a
-    cold call).  Summed outward from the turning point, the decay
-    exponents acosh((d_i - x) / radius_i) reach R = ln(_AIM_STOP
-    max(|e|, 1) / abs_tol) / 2 at row s.  By Cauchy interlacing the
-    block's smallest eigenvalue lies at or above T's, and by the decay
-    it lies above it by about max|e| e^(-2R) = abs_tol / _AIM_STOP.
+    the upper of the secant's two starting points, or for a cold call at
+    min(d) and again, once the aim starts, at the bracket's top hi).
+    Summed outward from the turning point, the decay exponents
+    acosh((d_i - x) / radius_i) reach R = ln(_AIM_STOP max(|e|, 1) /
+    abs_tol) / 2 at row s.  By Cauchy interlacing the block's smallest
+    eigenvalue lies at or above T's, and by the decay it lies above it
+    by about max|e| e^(-2R) = abs_tol / _AIM_STOP.
     That holds while the point the tail was found at is at or above
     the eigenvalue.  An estimate so low that the block's eigenvalue
     lies above that point, and the decay there stops short of R at row
@@ -211,31 +214,32 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
     estimate = math.nan if estimate is None else float(estimate)
     bottom, top = float(np.min(lower)), float(np.min(d))
-    # _tail's d - x may overflow, to the infinity a Python float
-    # subtraction gives, and its decay ratio divides by a zero radius
-    with np.errstate(divide="ignore", over="ignore"):
-        x_tail = estimate + _AIM_SPREAD * abs_tol if math.isfinite(estimate) else top
-        s = _tail(d, radius, lower, x_tail, reach)
-        lo, hi = _bisect(d[: s + 1], e2[: s + 1], pivmin, bottom, abs_tol, estimate)
-        if hi > x_tail and _tail(d, radius, lower, hi, reach) > s:
-            # the estimate lay too far below the eigenvalue for the tail
-            # found at it: solve cold, with the tail at min(d)
-            s = _tail(d, radius, lower, top, reach)
-            lo, hi = _bisect(d[: s + 1], e2[: s + 1], pivmin, bottom, abs_tol, math.nan)
+
+    def tail(x):
+        return _tail(d, radius, lower, x, reach)
+
+    x_tail = estimate + _AIM_SPREAD * abs_tol if math.isfinite(estimate) else top
+    s = tail(x_tail)
+    lo, hi = _bisect(d, e2, s, pivmin, bottom, abs_tol, estimate, tail)
+    if hi > x_tail and tail(hi) > s:
+        # the estimate lay too far below the eigenvalue for the tail
+        # found at it: solve cold
+        lo, hi = _bisect(d, e2, tail(top), pivmin, bottom, abs_tol, math.nan, tail)
     return 0.5 * lo + 0.5 * hi
 
 
-def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
+def _bisect(d, e2, s, pivmin, lo, abs_tol, estimate, tail):
     """The final (lo, hi) of smallest_eigenvalue's aimed bisection on the
-    tridiagonal (d, e2), e2 led by a 0, from lo up to min(d)."""
-    k = int(np.argmin(d))
+    leading block of rows 0..s of the tridiagonal (d, e2), e2 led by a 0,
+    from lo up to the block's min(d).  A cold call (no finite estimate)
+    cuts its block again at tail(hi) when its aim starts."""
+    # every walk reads the block's lists: about 80 B per row (80 kB at
+    # 1000 rows, 655 kB at the 8192-cell cap), and they iterate faster
+    # than memoryviews over numpy arrays
+    k, top_down, bottom_up = int(np.argmin(d[: s + 1])), *_rows(d[: s + 1], e2[: s + 1])
     hi = float(d[k])
     spread = _AIM_SPREAD * abs_tol
     warm = math.isfinite(estimate)
-    # every walk of this call reads the same lists: about 80 B per row
-    # (80 kB at 1000 rows, 640 kB at the 8000-cell cap), and they iterate
-    # faster than memoryviews over numpy arrays
-    top_down, bottom_up = _rows(d, e2)
 
     def gap(x):
         return _twisted_gap(*top_down, *bottom_up, k, x, pivmin)
@@ -244,6 +248,12 @@ def _bisect(d, e2, pivmin, lo, abs_tol, estimate):
     while hi - lo > abs_tol:
         if aim and (warm or hi - lo < _AIM_START * abs_tol):
             aim = False
+            if not warm:
+                # hi is at or above the eigenvalue and far nearer it than
+                # min(d): the aim's walks and the probes after it stop at
+                # the tail found there
+                s = tail(hi)
+                k, top_down, bottom_up = int(np.argmin(d[: s + 1])), *_rows(d[: s + 1], e2[: s + 1])
             start = (estimate - spread, estimate + spread) if warm else (lo, hi)
             x = _secant_root(gap, *start, _AIM_STOP * abs_tol)
             for w in _AIM_WIDTHS:
@@ -327,11 +337,10 @@ def eigenvector(d, e, sigma, abs_tol) -> np.ndarray:
     the vector is the whole matrix's twisted factorization.
     """
     e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
-    with np.errstate(divide="ignore", over="ignore"):
-        # at or above the eigenvalue (sigma may lie an ulp below it where
-        # abs_tol is under half its ulp): below it, the tail could cut off
-        # a row that zero couplings isolate and that holds the state
-        s = _tail(d, radius, lower, math.nextafter(sigma + abs_tol, math.inf), reach)
+    # at or above the eigenvalue (sigma may lie an ulp below it where
+    # abs_tol is under half its ulp): below it, the tail could cut off
+    # a row that zero couplings isolate and that holds the state
+    s = _tail(d, radius, lower, math.nextafter(sigma + abs_tol, math.inf), reach)
     top_down, bottom_up = _rows(d[: s + 1], e2[: s + 1])
     down = _pivots(*top_down, sigma, pivmin)
     up = _pivots(*bottom_up, sigma, pivmin)[::-1]

@@ -55,8 +55,8 @@ TOL_SIMILARITY = 1e-6
 # Sturm-bisected eigenvalue on n cells is good only to about
 # _ROUNDOFF * n^2 units (measured at most 0.74 eps n^2 from 8000 to
 # 16000 cells)
-DEFAULT_GRID_POINTS = 8000
-_LADDER_FLOOR = 125
+DEFAULT_GRID_POINTS = 8192
+_LADDER_FLOOR = 64
 _LADDER_TARGET = TOL_ENERGY / 100
 _ROUNDOFF = float(np.finfo(float).eps)
 
@@ -145,10 +145,12 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     radius where V - extra_potential is NaN or infinite, or failing that
     where a diagonal entry or an off-diagonal entry's square is (the
     r^(N-1) weights or 1/dr^2 overflow): every operator it returns has
-    the finite d and e*e the kernels require.  Warns when V(r_max) is
-    below 10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may
-    truncate a barely confined state; both terms scale like V under
-    r -> s r, so the test does not depend on the choice of units.  The
+    the finite d and e*e the kernels require.  After those checks it
+    raises groundstate's ValueError naming r_max when 1/r_max^2 is not
+    finite and nonzero.  Warns when V(r_max) is below
+    10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may truncate
+    a barely confined state; both terms scale like V under r -> s r, so
+    the test does not depend on the choice of units.  The
     warning points at the first caller outside this module: groundstate
     builds its first level with discretize and its others with the same
     code (_operators), so a solve warns at most once, at its caller.
@@ -159,7 +161,7 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     ((diag, off),) = _operators(v_at, extra_potential, grid.r_max, ndim, (grid.n_points,))
     with np.errstate(all="ignore"):
         v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
-    if v_edge < 10.0 * max(abs(v_origin), 1.0 / grid.r_max**2):
+    if v_edge < 10.0 * max(abs(v_origin), _energy_unit(grid.r_max)):
         frame, level = sys._getframe(1), 2
         while frame.f_globals.get("__name__") == __name__:
             frame, level = frame.f_back, level + 1
@@ -217,6 +219,16 @@ def _operators(v_at, extra_potential, r_max, ndim, sizes) -> list:
     return ops
 
 
+def _energy_unit(r_max: float) -> float:
+    """1/r_max^2, the unit of every energy threshold and of the extent
+    check; raises ValueError unless it is finite and nonzero."""
+    square = r_max * r_max
+    unit = 1.0 / square if square > 0.0 else math.inf
+    if not 0.0 < unit < math.inf:
+        raise ValueError(f"r_max must have a finite, nonzero 1/r_max^2, got {r_max:g}")
+    return unit
+
+
 def _require_finite(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
@@ -231,7 +243,7 @@ def _ladder(n_points: int) -> tuple[int, ...]:
     The levels are n_points, n_points/2, n_points/4, ... down to the
     smallest exact halving with at least _LADDER_FLOOR cells, and always
     at least four, so that the finest level has an error estimate from
-    two Richardson steps: 8000 gives 125, 250, ..., 8000 and 2000 gives
+    two Richardson steps: 8192 gives 64, 128, ..., 8192 and 2000 gives
     125, 250, 500, 1000, 2000.  Raises ValueError unless n_points is a
     multiple of 8 and at least 128, which makes n_points/8 an exact
     level of MIN_GRID_POINTS or more.
@@ -292,8 +304,8 @@ def groundstate(
     twice: each consecutive pair of raw eigenvalues to
     E_k = (4 e_k - e_(k-1)) / 3, and each consecutive pair of those to
     E2_k = (16 E_k - E_(k-1)) / 15.  n_points is the finest grid the
-    ladder may use (see _ladder for its levels; 8000 gives 125, 250,
-    ..., 8000 cells).  The first level is bisected cold, the one after it
+    ladder may use (see _ladder for its levels; 8192 gives 64, 128,
+    ..., 8192 cells).  The first level is bisected cold, the one after it
     (or after a restart, below) from its eigenvalue, and each later one
     from E_k + (e_(k-1) - e_k) / 12.  The ladder stops at the first level
     from the fourth on where the error estimate, the sum of
@@ -355,14 +367,9 @@ def groundstate(
         r_max = _domain_radius(potential)
     r_max = float(r_max)
 
-    square = r_max * r_max
-    unit = 1.0 / square if square > 0.0 else math.inf
-    if not 0.0 < unit < math.inf:
-        raise ValueError(f"r_max must have a finite, nonzero 1/r_max^2, got {r_max:g}")
+    unit = _energy_unit(r_max)
     target = _LADDER_TARGET * unit
     bisect_tol = target / 100.0
-    if not r_max > 0.0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
     # the ladder never stops before its fourth level: the first comes from
     # discretize, which checks the domain's extent (and where perfbench's
     # tracer reads each solve's domain and warnings), the next three from
@@ -499,7 +506,7 @@ def verify_solution(
     psi_norm = math.sqrt(float(np.sum(psi * psi * weight) * dr))
     similarity = float(np.sum(psi * result.vector * weight) * dr / psi_norm)
 
-    unit = 1.0 / result.grid.r_max**2
+    unit = _energy_unit(result.grid.r_max)
     radii = np.geomspace(1e-3 * result.grid.r_max, result.grid.r_max, 60)
     residual = np.asarray(schrodinger_residual(w, split.e0, radii))
     max_residual = float(np.max(np.abs(residual) / _residual_scale(w, split.e0, radii, unit)))

@@ -100,8 +100,8 @@ class TestDerive:
 
     def test_unresolved_oracle_is_named(self, capsys):
         # both constraints hold (e0 = -3.3e-6 is what rounding leaves of
-        # terms near 1e5); at the 8000-cell cap the ladder's error
-        # estimate is 2.2e-3 and |E - e0| 9.8e-4, both above the tolerance
+        # terms near 1e5); at the 8192-cell cap the ladder's error
+        # estimate is 1.9e-3 and |E - e0| 8.4e-4, both above the tolerance
         # 1e-6 / r_max^2 = 7.5e-7
         code, out, err = run_cli(["eta-mu", "--g", "1e5", "--N", "3"], capsys)
         assert code == 1
@@ -306,7 +306,7 @@ class TestEtaMu:
         assert doc["similarity"] > 1.0 - 1e-6
         assert "eigenvector_similarity" not in doc["failures"]
         assert proc.returncode == (0 if doc["verdict"] == "PASS" else 1)
-        if g == "1000":  # resolved within the grid ladder's 8000-cell cap
+        if g == "1000":  # resolved within the grid ladder's 8192-cell cap
             assert proc.returncode == 0
 
     def test_no_root_exits_1(self, capsys):
@@ -319,8 +319,8 @@ class TestEtaMu:
         assert len(err.strip().splitlines()) == 1
 
     def test_strong_coupling_fails_at_the_grid_cap(self, capsys):
-        # the solution meets both constraints, but the 8000-cell grid
-        # cannot resolve its narrow ring, |E - e0| = 9.8e-4, and the
+        # the solution meets both constraints, but the 8192-cell grid
+        # cannot resolve its narrow ring, |E - e0| = 8.4e-4, and the
         # ladder's own error estimate says so: the verdict names the
         # unresolved oracle, not a wrong energy
         code, out, err = run_cli(["eta-mu", "--g", "1e5", "--N", "3", "--format", "json"], capsys)
@@ -374,8 +374,8 @@ class TestVerify:
 
     def test_oracle_failure_exits_1(self, capsys):
         # a lambda-family potential this close to lambda = 1 (N = 1) has a
-        # well so narrow that even the finest pair, the 4000- and 8000-cell
-        # eigenvalues (4.4e15 and 1.1e15), differ by far more than the
+        # well so narrow that even the finest pair, the 4096- and 8192-cell
+        # eigenvalues (4.2e15 and 1.1e15), differ by far more than the
         # coarser grid's own kinetic scale 1/dr^2
         flags = ["--g", "1.5", "--alpha", "126491106.40658", "--beta", "4.0e15", "--A", "7.0e-9", "--N", "1"]
         code, out, err = run_cli(["verify", *flags], capsys)

@@ -113,6 +113,13 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=r"not finite at r = 3\.125"):
             groundstate(v, n_dim=3, r_max=8.0, n_points=256)
 
+    def test_rejects_a_domain_without_an_energy_unit(self):
+        # on r_max = 1e200, 2 dr^2 overflows, so the kinetic terms are 0 and
+        # the operator is finite, but r_max^2 overflows too: discretize
+        # raises groundstate's ValueError for such an r_max
+        with pytest.raises(ValueError, match=r"^r_max must have a finite, nonzero 1/r_max\^2, got 1e\+200$"):
+            discretize(lambda r: 0.0 * r, grid=RadialGrid.make(1e200, 16), n_dim=1)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         n_dim=st.integers(1, 5000),
@@ -175,12 +182,12 @@ class TestHarmonicCalibration:
         assert abs(res.energy - n_dim / 2.0) <= 1e-9
 
     @staticmethod
-    def ladder_estimate(raw, r_max):
+    def ladder_estimate(raw, r_max, n_points=eigensolver.DEFAULT_GRID_POINTS):
         """E2_k and its error estimate, recomputed from the raw eigenvalues
-        of a ladder that never restarts."""
+        of a ladder capped at n_points that never restarts."""
         first = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(raw, raw[1:])]
         second = [(16.0 * fine - coarse) / 15.0 for coarse, fine in zip(first, first[1:])]
-        n = 125 * 2 ** (len(raw) - 1)
+        n = eigensolver._ladder(n_points)[len(raw) - 1]
         unit = 1.0 / r_max**2
         bisect_tol = eigensolver._LADDER_TARGET * unit / 100.0
         floor = bisect_tol + eigensolver._ROUNDOFF * n * n * unit
@@ -204,7 +211,7 @@ class TestHarmonicCalibration:
         raw.clear()
         capped = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0, n_points=1000)
         assert len(raw) == 4
-        assert (capped.energy, capped.error_estimate) == self.ladder_estimate(raw, 12.0)
+        assert (capped.energy, capped.error_estimate) == self.ladder_estimate(raw, 12.0, 1000)
         assert math.isfinite(capped.error_estimate) and capped.error_estimate > 0.0
 
     @pytest.mark.parametrize("n_dim", range(1, 10))
@@ -212,6 +219,13 @@ class TestHarmonicCalibration:
         # measured |E - N/2| / error_estimate: 0.08 to 0.50 for N = 1..9
         res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0, n_points=2000)
         assert abs(res.energy - n_dim / 2.0) / res.error_estimate <= ESTIMATE_FACTOR
+
+    @pytest.mark.parametrize("n_dim", range(1, 10))
+    def test_default_ladder_estimate_against_truth(self, n_dim):
+        # the default ladder, 64 cells up to the 8192-cell cap, stops at 512
+        # to 2048 cells; measured |E - N/2| / error_estimate: 0.36 to 0.50
+        res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0)
+        assert abs(res.energy - n_dim / 2.0) <= ESTIMATE_FACTOR * res.error_estimate
 
     def test_second_order_convergence_and_extrapolation_gain(self):
         res = groundstate(lambda r: 0.5 * r * r, n_dim=3, r_max=12.0, n_points=512)
@@ -342,8 +356,8 @@ class TestDomainHandling:
                 groundstate(lambda r: 1e6 * r * r, n_dim=3, r_max=8.0, n_points=128)
 
     def test_unresolved_well_restarts_on_the_grid_ladder(self, monkeypatch):
-        # V = 1e8 r^2, E = 1.5 sqrt(2e8): every pair up to the one of 500
-        # and 1000 cells is too coarse, so the extrapolation starts over
+        # V = 1e8 r^2, E = 1.5 sqrt(2e8): every pair up to the one of 512
+        # and 1024 cells is too coarse, so the extrapolation starts over
         # from the finer level each time, and only a too-coarse finest
         # pair would raise
         raw = []
@@ -357,10 +371,10 @@ class TestDomainHandling:
         unit = 1.0 / 8.0**2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridExtentWarning)
-            # four levels from 1000 cells on: the estimate, 0.11, bounds the
-            # error, 0.093, and is far above the tolerance 1e-6 / r_max^2
+            # four levels from 1024 cells on: the estimate, 0.11, bounds the
+            # error, 0.082, and is far above the tolerance 1e-6 / r_max^2
             res = groundstate(lambda r: 1e8 * r * r, n_dim=3, r_max=8.0)
-            assert res.grid.n_points == 8000
+            assert res.grid.n_points == 8192
             assert abs(res.energy - 1.5 * math.sqrt(2e8)) <= res.error_estimate
             assert res.error_estimate > eigensolver.TOL_ENERGY * unit
             # capped at 2000 cells, one pair is left after the restart: the
@@ -404,8 +418,8 @@ class TestVerifySolution:
 
     def test_unresolved_oracle_is_not_a_wrong_claim(self):
         # g = 1e5, N = 3 meets both constraints (its e0, -3.3e-6, is what
-        # rounding leaves of terms near 1e5), but at the 8000-cell cap the
-        # ladder's own error estimate, 2.2e-3, is above the tolerance
+        # rounding leaves of terms near 1e5), but at the 8192-cell cap the
+        # ladder's own error estimate, 1.9e-3, is above the tolerance
         # 1e-6 / r_max^2 = 7.5e-7: the verdict names the oracle
         sol = solve_eta_mu(1e5, 3)
         report = verify_solution(sol)
@@ -425,6 +439,25 @@ class TestVerifySolution:
             report = verify_solution(sol)
         assert report.passed
         assert report.failures == ()
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("g", [1e-3, 1e-2, 1.0, 1e2, 2e4])
+    def test_lambda_family_passes_on_the_default_ladder(self, g, n_dim, monkeypatch):
+        # the lambda = 1.5 family is scale covariant in g, so every g takes
+        # the steps g = 1 takes: the ladder 64, 128, 256 and 512 cells, whose
+        # estimate is at most 0.11 of the target
+        solves = []
+        groundstate_ = eigensolver.groundstate
+
+        def recorded(*args, **kwargs):
+            solves.append(groundstate_(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(eigensolver, "groundstate", recorded)
+        report = verify_solution(params_from_lambda(g, 1.5, solve_eta(1.5, n_dim)[0], n_dim))
+        assert report.passed
+        assert report.failures == ()
+        assert [res.grid.n_points for res in solves] == [512]
 
     def test_dimension_500_normalizes_without_overflow(self):
         # r^(N-1) overflows on this domain (r_max = 5.54), so psi is
@@ -563,21 +596,21 @@ class TestStages:
         (eta,) = solve_eta(1.5, 3)
         res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential)
         r_max = res.grid.r_max
-        assert calls["levels"] == [125, 250, 500, 1000]
-        assert calls["built"] == [(r_max, 125), (r_max, 250), (r_max, 500), (r_max, 1000)]
-        assert calls["discretize"] == [(r_max, 125)]
+        assert calls["levels"] == [64, 128, 256, 512]
+        assert calls["built"] == [(r_max, 64), (r_max, 128), (r_max, 256), (r_max, 512)]
+        assert calls["discretize"] == [(r_max, 64)]
         assert calls["eigenvector"] == 1
-        assert calls["vector_size"] == 1000
-        assert res.grid.n_points == 1000
+        assert calls["vector_size"] == 512
+        assert res.grid.n_points == 512
 
     def test_unmet_target_stops_at_the_cap(self, worked_potential, calls, monkeypatch):
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         res = groundstate(worked_potential, r_max=8.0)
-        assert calls["levels"] == [125, 250, 500, 1000, 2000, 4000, 8000]
+        assert calls["levels"] == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
         assert calls["built"] == [(8.0, n) for n in calls["levels"]]
-        assert calls["discretize"] == [(8.0, 125)]
-        assert calls["vector_size"] == 8000
-        assert res.grid.n_points == 8000
+        assert calls["discretize"] == [(8.0, 64)]
+        assert calls["vector_size"] == 8192
+        assert res.grid.n_points == 8192
         assert abs(res.energy) < 1e-8
 
     def test_aimed_bisection_probe_counts(self, worked_potential, monkeypatch):
@@ -591,7 +624,9 @@ class TestStages:
         # stops at 1000 on both domains.  With the bracket's top at min(d)
         # and probes at the secant's root -+ 0.4 abs_tol first, the cold
         # level takes 20 probes on both domains (21 and 30 with
-        # Gershgorin's upper end and the replayed final bracket)
+        # Gershgorin's upper end and the replayed final bracket).  The
+        # default ladder, from 64 cells, stops at 512 on the automatic
+        # domain, and its cold level takes 18 probes
         counts = []
         pivot_below, twisted_gap = _kernels._pivot_below, _kernels._twisted_gap
         smallest_eigenvalue = _kernels.smallest_eigenvalue
@@ -611,8 +646,8 @@ class TestStages:
         monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
         monkeypatch.setattr(_kernels, "_twisted_gap", counted_twisted_gap)
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
-        assert groundstate(worked_potential).grid.n_points == 1000
-        assert counts == [[20, 4], [2, 4], [2, 3], [2, 3]]
+        assert groundstate(worked_potential).grid.n_points == 512
+        assert counts == [[18, 4], [2, 4], [2, 3], [2, 3]]
         counts.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
         assert counts == [[20, 4], [2, 5], [2, 3], [2, 3]]
@@ -625,7 +660,12 @@ class TestStages:
         # [449, 996], [899, 1497], [1792, 2997]] on the automatic domain
         # and [[1206, 496], [338, 1245], [676, 1497], [1349, 2997]] on
         # r_max = 8, whose tail is far longer.  Stopping only the aimed
-        # walks at the tail, the cold levels took [1898, 530] and [1128, 184]
+        # walks at the tail, the cold levels took [1898, 530] and [1128, 184];
+        # keeping the cold level's tail from min(d) through the aim, [1512,
+        # 496] on the automatic domain (ladder from 125 cells, to 1000) and
+        # [733, 212] on r_max = 8.  The default ladder now runs from 64
+        # cells to 512 on the automatic domain, and the cold level finds
+        # its tail again at the bracket's top when the aim starts
         log = log_walks(monkeypatch)
         starts = []
         smallest_eigenvalue = _kernels.smallest_eigenvalue
@@ -644,9 +684,9 @@ class TestStages:
 
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
         groundstate(worked_potential)
-        assert rows_per_level() == [[1512, 496], [414, 852], [834, 1290], [1659, 2598]]
+        assert rows_per_level() == [[802, 216], [211, 432], [425, 657], [851, 1323]]
         groundstate(worked_potential, r_max=8.0, n_points=2000)
-        assert rows_per_level() == [[733, 212], [181, 460], [362, 558], [725, 1125]]
+        assert rows_per_level() == [[726, 184], [181, 460], [362, 558], [725, 1125]]
 
     def test_vector_rows_walked(self, worked_potential, monkeypatch):
         # counts, not timings: the rows of the eigenvector's top-down and
@@ -654,9 +694,10 @@ class TestStages:
         # matrix both walks took 1000 rows on either domain; over the
         # leading block found a tolerance above the eigenvalue they stop
         # at r = 3.0 on r_max = 8, and short of the automatic domain's wall
+        # (867 of 1000 rows there, on the ladder that ran from 125 cells)
         log = log_walks(monkeypatch)
-        assert groundstate(worked_potential).grid.n_points == 1000
-        assert [rows for kind, rows in log if kind == "vector"] == [867, 867]
+        assert groundstate(worked_potential).grid.n_points == 512
+        assert [rows for kind, rows in log if kind == "vector"] == [442, 442]
         log.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
         assert [rows for kind, rows in log if kind == "vector"] == [376, 376]
@@ -820,8 +861,8 @@ class TestPinnedAnswers:
 
     def test_auto_domain(self):
         # g = 0.01 on the domain derived from V, r_max = 3.4622492 (150)^(1/4);
-        # the ladder meets its target at 1000 cells, below the 2000-cell
-        # cap, so this is test_grid_ladder_auto_domain's answer
+        # the ladder from 125 cells meets its target at 1000, below the
+        # 2000-cell cap (the default ladder, from 64 cells, stops at 512)
         (eta,) = solve_eta(1.5, 3)
         sol = params_from_lambda(0.01, 1.5, eta, 3)
         self.assert_pinned(
@@ -845,28 +886,28 @@ class TestPinnedAnswers:
 
     def test_grid_ladder_worked_case(self, worked_potential):
         # the default solve path of verify and eta-mu: automatic domain,
-        # grid ladder to its accuracy target (it stops at 1000 cells)
+        # grid ladder to its accuracy target (it stops at 512 cells)
         res = groundstate(worked_potential)
         self.assert_pinned(
             res,
-            "0x1.80135e999999ap-38",
-            ("-0x1.a47ca567e2a09p-15", "-0x1.a479d1e939f8ap-17"),
-            "9ae58bc6d524307f11cde44463daca816cb73d8c06b5b3388f8b6ad5516e3961",
+            "-0x1.67341796c1555p-38",
+            ("-0x1.910bee61e8112p-13", "-0x1.9101c4cd43c70p-15"),
+            "428fa986a6d6264dccf7f45f48149c30c80134029c28cea06e3e524037db5861",
             3.462249204802943,
         )
-        assert res.error_estimate.hex() == "0x1.df78b12e02802p-36"
+        assert res.error_estimate.hex() == "0x1.a5f6720c1aa25p-36"
 
     def test_grid_ladder_auto_domain(self):
         (eta,) = solve_eta(1.5, 3)
         res = groundstate(params_from_lambda(0.01, 1.5, eta, 3).potential)
         self.assert_pinned(
             res,
-            "0x1.607cc84fa4fbcp-41",
-            ("-0x1.12a92fb00c183p-18", "-0x1.12a754bd0d5eap-20"),
-            "ff86c41a4112502071090adc72511bbbd7b72f9199b4f55ebb608feef22efbd1",
+            "-0x1.885905ccccccdp-42",
+            ("-0x1.05f6696ed7878p-16", "-0x1.05efc5e0969cdp-18"),
+            "19be2ab4c1f57431ca7939386a1a50a8588cc759fd3a5acbfccc132c9831d09e",
             12.116610267070016,
         )
-        assert res.error_estimate.hex() == "0x1.393db5113f02cp-39"
+        assert res.error_estimate.hex() == "0x1.13f4172c3c950p-39"
 
     def test_one_dimensional_harmonic_oscillator(self):
         self.assert_pinned(

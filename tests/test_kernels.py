@@ -177,7 +177,7 @@ def aimed_gap(d, e, x):
 
 
 def _worked_case():
-    # the automatic domain: 125, 250, 500 and 1000 cells
+    # the automatic domain: 64, 128, 256 and 512 cells
     p = PotentialParams(g=1.5, alpha=2.0 * SQRT3, beta=2.0, bigA=2.0 * SQRT3 / 3.0, n_dim=3)
     return groundstate_bisections(p)
 
