@@ -13,12 +13,13 @@ operation happens in a fixed order, so repeated calls return the same
 bits.
 
 The bisection owes its caller a tolerance, not a bit pattern: its
-result lies within abs_tol of the smallest eigenvalue.  It is aimed by
-the twisted factorization: secant steps on the gap gamma_k(x) of
-T - x*I at one fixed index k, which vanishes at the eigenvalue, start
-around the caller's estimate (or, without one, from the bisection's
-own bracket), and probes either side of their root set the bracket
-that a plain bisection then finishes.
+result lies within abs_tol of the smallest eigenvalue.  One routine
+(_aim) aims it by the twisted factorization: secant steps on the gap
+gamma_k(x) of T - x*I at one fixed index k, which vanishes at the
+eigenvalue, start around the caller's estimate (or, without one, from
+the ends of a bracket that a plain bisection has first halved), and
+probes either side of their root set the bracket that the same plain
+bisection (_halve) then finishes.
 
 On a domain much wider than the state, most of each walk would run
 through rows where the state has long decayed.  Every walk stops
@@ -29,7 +30,8 @@ under abs_tol, so the bisection solves the leading block of rows
 abs_tol and an ulp above the bisected eigenvalue, and exactly 0 past
 it: the entries it drops lie below about sqrt(abs_tol / (64 max|e|))
 of the peak.  One helper (_matrix) sets up what both kernels read, the
-reach that ends the block included.  Each kernel call turns its block
+reach that ends the block included.  A kernel call cuts one block (the
+bisection a second only where its estimate lay too low) and turns it
 into Python lists once (_rows), and every walk subtracts x from d_i in
 its loop: a Python float subtraction gives the bits numpy's d - x would.
 """
@@ -42,16 +44,17 @@ import numpy as np
 # Smallest normal double; pivot floors scale from this so the Sturm
 # recurrence never divides by an exact zero.
 _SAFMIN = 2.2250738585072014e-308
-# Aiming the bisection (see smallest_eigenvalue): a call with a finite
-# estimate starts its secant from _AIM_SPREAD * abs_tol either side of
-# it, a cold call from its own bracket once that is narrower than
-# _AIM_START * abs_tol; the secant takes at most _AIM_STEPS steps and
-# stops at a step within _AIM_STOP * abs_tol; then x -+ w * abs_tol
-# around its root x are probed for each w in _AIM_WIDTHS, nearest
-# first, wherever they lie inside the bracket (0.4, not 0.5: x -+ 0.5
-# abs_tol often round to a bracket an ulp wider than abs_tol, which
-# then takes one more probe).  The leading block's smallest
-# eigenvalue lies about abs_tol / _AIM_STOP above T's.
+# Aiming the bisection (see smallest_eigenvalue and _aim): a call with
+# a finite estimate starts its secant from _AIM_SPREAD * abs_tol either
+# side of it, a call without one from the ends of its bracket once
+# halving has made that no wider than _AIM_START * abs_tol, over the
+# same block; the secant takes at most _AIM_STEPS steps and stops at a
+# step within _AIM_STOP * abs_tol; then x -+ w * abs_tol around its
+# root x are probed for each w in _AIM_WIDTHS, nearest first, wherever
+# they lie inside the bracket (0.4, not 0.5: x -+ 0.5 abs_tol often
+# round to a bracket an ulp wider than abs_tol, which then takes one
+# more probe).  The leading block's smallest eigenvalue lies about
+# abs_tol / _AIM_STOP above T's.
 _AIM_START = 2.0**30
 _AIM_SPREAD = 1e6
 _AIM_STEPS = 5
@@ -184,86 +187,83 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     and the probe stops there; a floored pivot is thus never fed back
     into the recurrence.
 
-    Every walk runs over the leading block of rows 0..s only (_tail, at
-    the upper of the secant's two starting points, or for a cold call at
-    min(d) and again, once the aim starts, at the bracket's top hi).
-    Summed outward from the turning point, the decay exponents
-    acosh((d_i - x) / radius_i) reach R = ln(_AIM_STOP max(|e|, 1) /
-    abs_tol) / 2 at row s.  By Cauchy interlacing the block's smallest
-    eigenvalue lies at or above T's, and by the decay it lies above it
-    by about max|e| e^(-2R) = abs_tol / _AIM_STOP.
-    That holds while the point the tail was found at is at or above
-    the eigenvalue.  An estimate so low that the block's eigenvalue
-    lies above that point, and the decay there stops short of R at row
-    s, sends the call back as a cold one.
+    Every walk runs over one leading block of rows 0..s (_tail, at the
+    upper of the secant's two starting points, or at min(d) for a call
+    without a finite estimate).  Summed outward from the turning point,
+    the decay exponents acosh((d_i - x) / radius_i) reach R =
+    ln(_AIM_STOP max(|e|, 1) / abs_tol) / 2 at row s.  By Cauchy
+    interlacing the block's smallest eigenvalue lies at or above T's,
+    and by the decay it lies above it by about max|e| e^(-2R) = abs_tol
+    / _AIM_STOP.  That holds while the point the tail was found at is at
+    or above the eigenvalue.  An estimate so low that the block's
+    eigenvalue lies above that point, and the decay there stops short
+    of R at row s, sends the call on to the path without an estimate.
 
-    The bisection is aimed before it narrows the bracket to the end.
-    Secant steps on the twisted gap gamma_k(x) at the block's
+    The bisection is aimed before it narrows the bracket to the end
+    (_aim).  Secant steps on the twisted gap gamma_k(x) at the block's
     k = argmin(d) (see _twisted_gap; each step costs about one probe)
     find its root x, an estimate of the eigenvalue.  With a finite
     estimate (typically the eigenvalue a coarser grid predicts) they
     start at once from estimate -+ _AIM_SPREAD * abs_tol; without one
-    (None, NaN or an infinity) they start from the bisection's own
-    (lo, hi) once it is narrower than _AIM_START * abs_tol.  Probes at
-    x - w * abs_tol and x + w * abs_tol for each w in _AIM_WIDTHS,
-    nearest first and only where they lie inside the bracket, set lo
-    and hi; a plain bisection finishes.
+    (None, NaN or an infinity) a plain bisection first halves the
+    bracket until it is no wider than _AIM_START * abs_tol, and they
+    start from its ends.  Probes at x - w * abs_tol and x + w * abs_tol
+    for each w in _AIM_WIDTHS, nearest first and only where they lie
+    inside the bracket, set lo and hi; the plain bisection finishes.
     """
     if d.shape[0] == 1:
         return float(d[0])
     e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
+    bottom = float(np.min(lower))
     estimate = math.nan if estimate is None else float(estimate)
-    bottom, top = float(np.min(lower)), float(np.min(d))
-
-    def tail(x):
-        return _tail(d, radius, lower, x, reach)
-
-    x_tail = estimate + _AIM_SPREAD * abs_tol if math.isfinite(estimate) else top
-    s = tail(x_tail)
-    lo, hi = _bisect(d, e2, s, pivmin, bottom, abs_tol, estimate, tail)
-    if hi > x_tail and tail(hi) > s:
+    if math.isfinite(estimate):
+        spread = _AIM_SPREAD * abs_tol
+        x_tail = estimate + spread
+        s = _tail(d, radius, lower, x_tail, reach)
+        k, rows = _block(d, e2, s)
+        lo, hi = _aim(rows, k, pivmin, bottom, float(d[k]), abs_tol, estimate - spread, x_tail)
+        if not (hi > x_tail and _tail(d, radius, lower, hi, reach) > s):
+            return 0.5 * lo + 0.5 * hi
         # the estimate lay too far below the eigenvalue for the tail
-        # found at it: solve cold
-        lo, hi = _bisect(d, e2, tail(top), pivmin, bottom, abs_tol, math.nan, tail)
+        # found at it: solve as without one
+    k, rows = _block(d, e2, _tail(d, radius, lower, float(np.min(d)), reach))
+    lo, hi = _halve(rows[0], pivmin, bottom, float(d[k]), _AIM_START * abs_tol)
+    lo, hi = _aim(rows, k, pivmin, lo, hi, abs_tol, lo, hi)
     return 0.5 * lo + 0.5 * hi
 
 
-def _bisect(d, e2, s, pivmin, lo, abs_tol, estimate, tail):
-    """The final (lo, hi) of smallest_eigenvalue's aimed bisection on the
-    leading block of rows 0..s of the tridiagonal (d, e2), e2 led by a 0,
-    from lo up to the block's min(d).  A cold call (no finite estimate)
-    cuts its block again at tail(hi) when its aim starts."""
+def _block(d, e2, s):
+    """The leading block of rows 0..s of the tridiagonal (d, e2), e2 led
+    by a 0: the aim's index k = argmin(d) over the block, and its _rows
+    lists."""
     # every walk reads the block's lists: about 80 B per row (80 kB at
     # 1000 rows, 655 kB at the 8192-cell cap), and they iterate faster
     # than memoryviews over numpy arrays
-    k, top_down, bottom_up = int(np.argmin(d[: s + 1])), *_rows(d[: s + 1], e2[: s + 1])
-    hi = float(d[k])
-    spread = _AIM_SPREAD * abs_tol
-    warm = math.isfinite(estimate)
+    return int(np.argmin(d[: s + 1])), _rows(d[: s + 1], e2[: s + 1])
 
-    def gap(x):
-        return _twisted_gap(*top_down, *bottom_up, k, x, pivmin)
 
-    aim = True
-    while hi - lo > abs_tol:
-        if aim and (warm or hi - lo < _AIM_START * abs_tol):
-            aim = False
-            if not warm:
-                # hi is at or above the eigenvalue and far nearer it than
-                # min(d): the aim's walks and the probes after it stop at
-                # the tail found there
-                s = tail(hi)
-                k, top_down, bottom_up = int(np.argmin(d[: s + 1])), *_rows(d[: s + 1], e2[: s + 1])
-            start = (estimate - spread, estimate + spread) if warm else (lo, hi)
-            x = _secant_root(gap, *start, _AIM_STOP * abs_tol)
-            for w in _AIM_WIDTHS:
-                for point in (x - w * abs_tol, x + w * abs_tol):
-                    if lo < point < hi:
-                        if _pivot_below(*top_down, point, pivmin):
-                            hi = point
-                        else:
-                            lo = point
-            continue
+def _aim(rows, k, pivmin, lo, hi, abs_tol, x0, x1):
+    """The bracket (lo, hi) of the block rows (see _block) narrowed to
+    abs_tol: secant steps on gamma_k from x0 and x1, the _AIM_WIDTHS
+    probes either side of their root, then _halve."""
+    if hi - lo > abs_tol:
+        top_down, bottom_up = rows
+        x = _secant_root(lambda x: _twisted_gap(*top_down, *bottom_up, k, x, pivmin), x0, x1, _AIM_STOP * abs_tol)
+        for w in _AIM_WIDTHS:
+            for point in (x - w * abs_tol, x + w * abs_tol):
+                if lo < point < hi:
+                    if _pivot_below(*top_down, point, pivmin):
+                        hi = point
+                    else:
+                        lo = point
+    return _halve(rows[0], pivmin, lo, hi, abs_tol)
+
+
+def _halve(top_down, pivmin, lo, hi, width):
+    """Plain bisection of the bracket (lo, hi) by probes over the block
+    top_down, until it is no wider than width or its midpoint no longer
+    lies strictly inside it."""
+    while hi - lo > width:
         mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break

@@ -481,12 +481,13 @@ def verify_solution(
 
     Compares the oracle groundstate energy of sol.potential with the
     closed-form e0 of its trial, and the oracle eigenvector with
-    psi = exp(-S0), scaled to peak 1 on the grid, under the r^(N-1)
-    weight (cosine similarity).  The constraint residuals and the max
-    pointwise Riccati residual on a log-spaced radius grid are included
-    as diagnostics.  r_max and n_points go to groundstate: r_max=None
-    takes the domain from the potential's length scale, and n_points
-    caps the grid ladder, which picks the grid from its accuracy target.
+    psi = exp(-S0) under the r^(N-1) weight (cosine similarity, from log
+    amplitudes, so that neither psi nor the weight overflows).  The
+    constraint residuals and the max pointwise Riccati residual on a
+    log-spaced radius grid are included as diagnostics.  r_max and
+    n_points go to groundstate: r_max=None takes the domain from the
+    potential's length scale, and n_points caps the grid ladder, which
+    picks the grid from its accuracy target.
     The energy is compared only when the oracle's own error estimate is
     below TOL_ENERGY / r_max^2; otherwise the check reads oracle_unresolved.
     """
@@ -496,15 +497,17 @@ def verify_solution(
 
     w = TrialWavefunction(trial=sol.trial, potential=p)
     r = result.grid.points
-    dr = result.grid.spacing
-    weight = r ** (p.n_dim - 1.0)
-    # psi = exp(-S0) divided by its peak on the grid: unscaled, its square
-    # overflows once the peak exponent passes ~355 (the scale cancels below)
-    s0 = np.asarray(eval_s0(w, r))
-    with np.errstate(under="ignore"):
-        psi = np.exp(-(s0 - s0.min()))
-    psi_norm = math.sqrt(float(np.sum(psi * psi * weight) * dr))
-    similarity = float(np.sum(psi * result.vector * weight) * dr / psi_norm)
+    # the cosine of psi r^((N-1)/2) and the oracle's vector r^((N-1)/2),
+    # each from its log amplitude shifted by its own maximum: psi =
+    # exp(-S0) overflows once -S0 passes about 709, and the weight
+    # r^(N-1) from about N = 500 (the shifts cancel in the cosine)
+    half_log_r = 0.5 * (p.n_dim - 1.0) * np.log(r)
+    log_psi = half_log_r - np.asarray(eval_s0(w, r))
+    with np.errstate(divide="ignore", under="ignore"):
+        log_oracle = np.log(np.abs(result.vector)) + half_log_r
+        a = np.exp(log_psi - log_psi.max())
+        b = np.copysign(np.exp(log_oracle - log_oracle.max()), result.vector)
+    similarity = float(np.sum(a * b)) / math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
 
     unit = _energy_unit(result.grid.r_max)
     radii = np.geomspace(1e-3 * result.grid.r_max, result.grid.r_max, 60)

@@ -60,7 +60,8 @@ class ZeroModeSolution:
     """A potential whose exact groundstate has eigenvalue zero.
 
     Factory-produced instances satisfy both constraint residuals to
-    1e-10 (term-scaled) and carry trial = derive_trial(potential).
+    trial.CONSTRAINT_RTOL = 1e-10 (term-scaled) and carry trial =
+    derive_trial(potential).
     """
 
     potential: PotentialParams

@@ -23,6 +23,10 @@ import numpy as np
 
 from .potential import PotentialParams
 
+# relative tolerance of the constraint checks, against the size of the
+# terms that make up each residual
+CONSTRAINT_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TrialParams:
@@ -105,11 +109,11 @@ def _zero_energy_scale(p: PotentialParams) -> float:
     return abs(0.5 * p.bigA * p.g**2 * p.beta) + abs(p.n_dim * c)
 
 
-def satisfies_m_zero(p: PotentialParams, rtol: float = 1e-10) -> bool:
-    """True when the exact-solvability residual vanishes to rtol (term-scaled)."""
-    return abs(m_zero_residual(p)) <= rtol * _m_zero_scale(p)
+def satisfies_m_zero(p: PotentialParams) -> bool:
+    """True when the exact-solvability residual vanishes to CONSTRAINT_RTOL (term-scaled)."""
+    return abs(m_zero_residual(p)) <= CONSTRAINT_RTOL * _m_zero_scale(p)
 
 
-def satisfies_zero_energy(p: PotentialParams, rtol: float = 1e-10) -> bool:
-    """True when the E0 = 0 residual vanishes to rtol (term-scaled)."""
-    return abs(zero_energy_residual(p)) <= rtol * _zero_energy_scale(p)
+def satisfies_zero_energy(p: PotentialParams) -> bool:
+    """True when the E0 = 0 residual vanishes to CONSTRAINT_RTOL (term-scaled)."""
+    return abs(zero_energy_residual(p)) <= CONSTRAINT_RTOL * _zero_energy_scale(p)

@@ -3,6 +3,7 @@ against a plain element-by-element loop version: the bisection within
 its tolerance, the pivot walks bit for bit."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -463,6 +464,36 @@ class TestTailStop:
     def test_oracle_matrices(self, solve, monkeypatch):
         cuts = [self.assert_block_stands_for_the_matrix(monkeypatch, *args) for args in solve()]
         assert any(cuts)
+
+    def test_cold_call_finds_its_tail_once(self, monkeypatch):
+        # a call without an estimate cuts one block, at min(d), and
+        # halves and then aims over the same lists; an estimate so low
+        # that the block cut above it is too short sends the call on to
+        # that path within the one call the caller sees
+        d, e, tol, _ = next(islice(wall_matrices(), 3, None))
+        exact = exact_eigenvalue(d, e)
+        tails, rows, calls = [], [], []
+        tail, rows_, smallest_eigenvalue = _kernels._tail, _kernels._rows, _kernels.smallest_eigenvalue
+
+        def recorded_tail(d, radius, lower, x, reach):
+            tails.append(x)
+            return tail(d, radius, lower, x, reach)
+
+        def counted_smallest_eigenvalue(*args):
+            calls.append(args)
+            return smallest_eigenvalue(*args)
+
+        monkeypatch.setattr(_kernels, "_tail", recorded_tail)
+        monkeypatch.setattr(_kernels, "_rows", lambda *args: rows.append(args) or rows_(*args))
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", counted_smallest_eigenvalue)
+        assert_within_tolerance(_kernels.smallest_eigenvalue(d, e, tol), exact, tol)
+        assert (tails, len(rows), len(calls)) == ([float(np.min(d))], 1, 1)
+        del tails[:], rows[:], calls[:]
+        low = exact - 1e4 * _kernels._AIM_SPREAD * tol
+        assert_within_tolerance(_kernels.smallest_eigenvalue(d, e, tol, low), exact, tol)
+        # the tail at the secant's upper start, again at the bracket's
+        # top, and once at min(d) for the call without an estimate
+        assert (len(tails), tails[-1], len(rows), len(calls)) == (3, float(np.min(d)), 2, 1)
 
 
 class TestSameBitsTwice:
