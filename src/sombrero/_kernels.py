@@ -26,14 +26,17 @@ through rows where the state has long decayed.  Every walk stops
 there: past a row s where the decay from the turning point is deep
 enough, the rest of the matrix moves the smallest eigenvalue by well
 under abs_tol, so the bisection solves the leading block of rows
-0..s.  The eigenvector is a leading block's too, with its tail found
-abs_tol and an ulp above the bisected eigenvalue, and exactly 0 past
-it: the entries it drops lie below about sqrt(abs_tol / (64 max|e|))
-of the peak.  One helper (_matrix) sets up what both kernels read, the
-reach that ends the block included.  A kernel call cuts one block (the
-bisection a second only where its estimate lay too low) and turns it
-into Python lists once (_rows), and every walk subtracts x from d_i in
-its loop: a Python float subtraction gives the bits numpy's d - x would.
+0..s.  One helper (_matrix) sets up the matrix, the reach that ends
+the block included, and a bisection cuts one block (a second only
+where its estimate lay too low, or where it had none) and turns it
+into Python lists once (_rows).  It hands that block on with the
+eigenvalue (Eigenvalue), and the eigenvector is that block's,
+exactly 0 past it: the entries it drops lie below about
+sqrt(abs_tol / (64 max|e|)) of the peak.  The eigenvector sets up
+nothing of its own: it twists once at the index the aim's secant
+twists at, with the same walks (_twisted), and twists again only where
+that index misses the state.  Every walk subtracts x from d_i in its
+loop: a Python float subtraction gives the bits numpy's d - x would.
 """
 
 import math
@@ -78,31 +81,41 @@ def _pivot_below(d, e2, x, pivmin) -> bool:
     return False
 
 
-def _last_pivot(d, e2, x, pivmin) -> float:
-    """Last pivot of _pivots(d, e2, x, pivmin), over any iterables."""
-    q, floor = 1.0, -pivmin
+def _pivot_list(d, e2, x, pivmin) -> list:
+    """Every LDL^T pivot of T - x*I, over any iterables d and e2.
+
+    Walks q_i = d_i - x - e2_i / q_(i-1) from q_(-1) = 1, e2 led by a
+    0, the recurrence _pivot_below walks, but to the end, with each
+    |q_i| < pivmin floored to -pivmin so that no pivot is an exact zero.
+    """
+    out, q, floor = [], 1.0, -pivmin
+    append = out.append
     for di, e2i in zip(d, e2):
         q = di - x - e2i / q
         if q < pivmin and q > floor:
             q = floor
-    return q
+        append(q)
+    return out
 
 
-def _twisted_gap(d, e2, d_up, e2_up, k, x, pivmin) -> float:
-    """gamma_k = d_k - x - e2_k / D+_(k-1) - e2_(k+1) / D-_(k+1).
-
-    The twisted factorization's gap at index k (see eigenvector) of
-    T - x*I, for the lists of _rows, top-down (d, e2) and bottom-up
-    (d_up, e2_up), from a top-down walk to k - 1 and a bottom-up walk to
-    k + 1; it is 1 / [(T - x*I)^-1]_kk, so as a function of x it
-    vanishes at an eigenvalue and is near linear close to one.
+def _twisted(rows, k, x, pivmin):
+    """The twisted factorization at index k of the block rows (see
+    _rows) minus x*I: the top-down pivots D+ of rows 0..k-1, the
+    bottom-up pivots D- of rows s..k+1 in that order, one walk of each
+    row but k, and the gap gamma_k = d_k - x - e2_k / D+_(k-1) -
+    e2_(k+1) / D-_(k+1).  gamma_k is 1 / [(T - x*I)^-1]_kk, so as a
+    function of x it vanishes at an eigenvalue and is near linear close
+    to one.
     """
-    gap = d[k] - x
-    if k > 0:
-        gap -= e2[k] / _last_pivot(islice(d, k), e2, x, pivmin)
-    if k < len(d) - 1:
-        gap -= e2[k + 1] / _last_pivot(islice(d_up, len(d) - 1 - k), e2_up, x, pivmin)
-    return gap
+    (d, e2), (d_up, e2_up) = rows
+    down = _pivot_list(islice(d, k), e2, x, pivmin)
+    up = _pivot_list(islice(d_up, len(d) - 1 - k), e2_up, x, pivmin)
+    return down, up, d[k] - x - (e2[k] / down[-1] if down else 0.0) - (e2[k + 1] / up[-1] if up else 0.0)
+
+
+def _twisted_gap(rows, k, x, pivmin) -> float:
+    """gamma_k of _twisted alone, for the aim's secant."""
+    return _twisted(rows, k, x, pivmin)[2]
 
 
 def _secant_root(f, x0, x1, abs_tol) -> float:
@@ -147,29 +160,46 @@ def _tail(d, radius, lower, x, reach) -> int:
 
 
 def _matrix(d, e, abs_tol):
-    """What both kernels read of the tridiagonal (d, e) besides d.
+    """What the bisection reads of the tridiagonal (d, e) besides d.
 
     e2 (e2_i = e_(i-1)^2 couples row i to the row above it, so e2_0 =
-    0), the pivot floor pivmin, each row's Gershgorin radius and lower
-    end, and the reach R = ln(_AIM_STOP max(|e|, 1) / abs_tol) / 2 at
-    which _tail ends the leading block (infinite unless 0 < abs_tol <
-    inf, so that no block is cut).
+    0), the pivot floor pivmin = _SAFMIN max(max e2, 1), a normal
+    number, each row's Gershgorin radius and lower end, and the reach
+    R = ln(_AIM_STOP max|e| / abs_tol) / 2, or 0 where that is
+    negative, at which _tail ends the leading block.  R is infinite,
+    so that no block is cut, unless 0 < abs_tol < inf and max e2 > 0.
     """
     n = d.shape[0]
     e2 = np.zeros(n)
     np.multiply(e, e, out=e2[1:])
-    e2_max = float(np.max(e2, initial=1.0))
     abs_e = np.abs(e)
+    e_max = float(np.max(abs_e, initial=0.0))
     radius = np.zeros(n)
     radius[1:] = abs_e
     radius[:-1] += abs_e
     # a tail this far past the turning point moves the smallest
-    # eigenvalue by about max|e| e^(-2 reach) = abs_tol / _AIM_STOP
-    reach = 0.5 * math.log(_AIM_STOP * math.sqrt(e2_max) / abs_tol) if 0.0 < abs_tol < math.inf else math.inf
-    return e2, _SAFMIN * e2_max, radius, d - radius, reach
+    # eigenvalue by about max|e| e^(-2 reach) = abs_tol / _AIM_STOP, a
+    # ratio of the matrix's own scale to abs_tol, so that a matrix and
+    # tolerance scaled by a power of two cut the same block
+    ratio = _AIM_STOP * e_max / abs_tol if 0.0 < abs_tol < math.inf and e_max * e_max > 0.0 else math.inf
+    return e2, _SAFMIN * max(e_max * e_max, 1.0), radius, d - radius, 0.5 * math.log(max(ratio, 1.0))
 
 
-def smallest_eigenvalue(d, e, abs_tol, estimate=None):
+class Eigenvalue(float):
+    """smallest_eigenvalue's result: the eigenvalue, a float, that also
+    holds in block the leading block of rows 0..s it was bisected over,
+    for eigenvector: (rows, k, pivmin, e, abs_tol), its _rows lists, the
+    aim's index k = argmin(d) over it, _matrix's pivmin, the whole
+    matrix's off-diagonal e, whose first s entries couple the block's
+    rows, and the bisection's abs_tol."""
+
+    def __new__(cls, value, block):
+        self = super().__new__(cls, value)
+        self.block = block
+        return self
+
+
+def smallest_eigenvalue(d, e, abs_tol, estimate=None) -> Eigenvalue:
     """Smallest eigenvalue of the symmetric tridiagonal (d, e) by bisection.
 
     d and e*e must be finite (discretize rejects any other matrix).  The
@@ -178,7 +208,8 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     bisection stops once its bracket is narrower than abs_tol, or once
     the midpoint is no longer representable strictly inside it.  The
     bracket runs from Gershgorin's lower end to min(d), the Rayleigh
-    quotient of a unit vector.
+    quotient of a unit vector.  It is an Eigenvalue, a float that holds
+    the block it was bisected over, which eigenvector takes.
 
     Each probe only asks whether any eigenvalue lies at or below x, that
     is, whether any LDL^T pivot q is nonpositive once pivots with
@@ -191,17 +222,22 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     upper of the secant's two starting points, or at min(d) for a call
     without a finite estimate).  Summed outward from the turning point,
     the decay exponents acosh((d_i - x) / radius_i) reach R =
-    ln(_AIM_STOP max(|e|, 1) / abs_tol) / 2 at row s.  By Cauchy
+    ln(_AIM_STOP max|e| / abs_tol) / 2 at row s.  By Cauchy
     interlacing the block's smallest eigenvalue lies at or above T's,
     and by the decay it lies above it by about max|e| e^(-2R) = abs_tol
     / _AIM_STOP.  That holds while the point the tail was found at is at
     or above the eigenvalue.  An estimate so low that the block's
     eigenvalue lies above that point, and the decay there stops short
     of R at row s, sends the call on to the path without an estimate.
+    The block handed back is the one _tail cuts at hi, the top of the
+    bisection's last bracket, at or above the eigenvalue: a call with an
+    estimate hands on its own block, which the check above finds to be
+    that one, and a call without cuts it again there, for eigenvector
+    alone.
 
     The bisection is aimed before it narrows the bracket to the end
     (_aim).  Secant steps on the twisted gap gamma_k(x) at the block's
-    k = argmin(d) (see _twisted_gap; each step costs about one probe)
+    k = argmin(d) (see _twisted; each step costs about one probe)
     find its root x, an estimate of the eigenvalue.  With a finite
     estimate (typically the eigenvalue a coarser grid predicts) they
     start at once from estimate -+ _AIM_SPREAD * abs_tol; without one
@@ -211,8 +247,6 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
     for each w in _AIM_WIDTHS, nearest first and only where they lie
     inside the bracket, set lo and hi; the plain bisection finishes.
     """
-    if d.shape[0] == 1:
-        return float(d[0])
     e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
     bottom = float(np.min(lower))
     estimate = math.nan if estimate is None else float(estimate)
@@ -223,13 +257,16 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None):
         k, rows = _block(d, e2, s)
         lo, hi = _aim(rows, k, pivmin, bottom, float(d[k]), abs_tol, estimate - spread, x_tail)
         if not (hi > x_tail and _tail(d, radius, lower, hi, reach) > s):
-            return 0.5 * lo + 0.5 * hi
+            return Eigenvalue(0.5 * lo + 0.5 * hi, (rows, k, pivmin, e, abs_tol))
         # the estimate lay too far below the eigenvalue for the tail
         # found at it: solve as without one
     k, rows = _block(d, e2, _tail(d, radius, lower, float(np.min(d)), reach))
     lo, hi = _halve(rows[0], pivmin, bottom, float(d[k]), _AIM_START * abs_tol)
     lo, hi = _aim(rows, k, pivmin, lo, hi, abs_tol, lo, hi)
-    return 0.5 * lo + 0.5 * hi
+    # min(d) lies far above the eigenvalue, and the block cut there runs
+    # deep into the tail, where the vector underflows to 0
+    k, rows = _block(d, e2, _tail(d, radius, lower, hi, reach))
+    return Eigenvalue(0.5 * lo + 0.5 * hi, (rows, k, pivmin, e, abs_tol))
 
 
 def _block(d, e2, s):
@@ -247,12 +284,11 @@ def _aim(rows, k, pivmin, lo, hi, abs_tol, x0, x1):
     abs_tol: secant steps on gamma_k from x0 and x1, the _AIM_WIDTHS
     probes either side of their root, then _halve."""
     if hi - lo > abs_tol:
-        top_down, bottom_up = rows
-        x = _secant_root(lambda x: _twisted_gap(*top_down, *bottom_up, k, x, pivmin), x0, x1, _AIM_STOP * abs_tol)
+        x = _secant_root(lambda x: _twisted_gap(rows, k, x, pivmin), x0, x1, _AIM_STOP * abs_tol)
         for w in _AIM_WIDTHS:
             for point in (x - w * abs_tol, x + w * abs_tol):
                 if lo < point < hi:
-                    if _pivot_below(*top_down, point, pivmin):
+                    if _pivot_below(*rows[0], point, pivmin):
                         hi = point
                     else:
                         lo = point
@@ -287,71 +323,66 @@ def _rows(d, e2):
     return (d, e2), (d[::-1], [0.0, *e2[:0:-1]])
 
 
-def _pivots(d, e2, x, pivmin) -> np.ndarray:
-    """Every LDL^T pivot of T - x*I, from the top down.
-
-    Walks q_i = d_i - x - e2_i / q_(i-1) from q_(-1) = 1, e2 led by a
-    0, the recurrence _pivot_below walks, but to the end, with each
-    |q_i| < pivmin floored to -pivmin so that no pivot is an exact zero.
-    """
-    out = []
-    append = out.append
-    q, floor = 1.0, -pivmin
-    for di, e2i in zip(d, e2):
-        q = di - x - e2i / q
-        if q < pivmin and q > floor:
-            q = floor
-        append(q)
-    return np.array(out, dtype=float)
+def _vector(e, k, down, up) -> np.ndarray:
+    """The twisted factorization's vector at k with x_k = 1, for the
+    top-down pivots down of rows 0..k-1 and the bottom-up pivots up of
+    rows s..k+1 (see _twisted), and 0 past s: running products outward
+    from k, x_i = -(e_i / D+_i) x_(i+1) for i < k and x_i = -(e_(i-1) /
+    D-_i) x_(i-1) for k < i <= s, which solve the block's
+    (T - sigma*I) x = gamma_k e_k exactly."""
+    x = np.zeros(e.shape[0] + 1)
+    x[k] = 1.0
+    x[:k] = np.cumprod((-e[:k] / np.array(down))[::-1])[::-1]
+    x[k + 1 : k + 1 + len(up)] = np.cumprod(-e[k : k + len(up)] / np.array(up[::-1]))
+    return x
 
 
-def eigenvector(d, e, sigma, abs_tol) -> np.ndarray:
-    """Unit eigenvector of the symmetric tridiagonal (d, e) for the eigenvalue at sigma.
+def eigenvector(block, sigma) -> np.ndarray:
+    """Unit eigenvector of the tridiagonal (d, e) for its smallest eigenvalue sigma.
 
-    d and e*e must be finite, as for smallest_eigenvalue, and sigma is
-    that eigenvalue as smallest_eigenvalue bisected it to abs_tol.  One
-    twisted factorization (Dhillon 1997; Parlett & Dhillon, Linear
-    Algebra Appl. 309, 2000) of the leading block of rows 0..s, where s
-    is _tail's row at the float above sigma + abs_tol: the top-down
-    pivots D+ and the bottom-up pivots D- of the block minus sigma*I
-    meet at the twist index k that minimizes |gamma_k| = |D+_k + D-_k - (d_k - sigma)|; 1 / gamma_k is
-    the k-th diagonal entry of the inverse, largest where the
-    eigenvector is.  With x_k = 1 the other entries follow outward as
-    running products, x_i = -(e_i / D+_i) x_(i+1) for i < k and
-    x_i = -(e_(i-1) / D-_i) x_(i-1) for k < i <= s, which solve the
-    block's (T - sigma*I) x = gamma_k e_k exactly.  Entries past s are
+    sigma is smallest_eigenvalue's result for (d, e) and block the block
+    it was bisected over (sigma.block): the leading block of rows 0..s,
+    cut at or above the eigenvalue.  One twisted factorization (Dhillon
+    1997; Parlett & Dhillon, Linear Algebra Appl. 309, 2000) of the
+    block minus sigma*I at the aim's index k = argmin(d), the one the
+    aim's secant walks (_twisted): the top-down pivots D+ of rows
+    0..k-1 and the bottom-up pivots D- of rows s..k+1, one walk of each
+    row but k, and x_k = 1 (_vector).  The vector solves
+    (T - sigma*I) x = gamma_k e_k, so gamma_k / max|x| is the residual
+    of x scaled to its peak.  Twisted at its largest entry,
+    that residual is at most about n |lambda - sigma| for an n-row
+    matrix, and |lambda - sigma| is at most abs_tol plus the pivots'
+    round-off, about an ulp of max|e|.  Where the state is not at k (a
+    two-well potential can put argmin(d) in the other well, and a
+    random matrix's state lies anywhere), the residual is larger: past
+    n (abs_tol + ulp(max|e|)), both walks run over the whole block and
+    the vector twists once more, at the first index of the least
+    |gamma_j| = |D+_j + D-_j - (d_j - sigma)|, where 1 / gamma_j, the
+    j-th diagonal entry of the inverse, is largest.  Entries past s are
     exactly 0.  When every e_i < 0 and the pivots used are positive, no
     entry of x is negative.  The result is scaled by its largest entry
     and then to unit length with a running (sequential) sum of squares.
     Entries that overflow come back non-finite, which the caller checks
     for.
 
-    The cut is the bisection's (see smallest_eigenvalue), found at a
-    point at or above the eigenvalue, as the bisection's must be: summed
-    outward from the turning point, the decay exponents reach R at row
-    s, so the entries dropped lie below about e^-R =
-    sqrt(abs_tol / (_AIM_STOP max(|e|, 1))) of the amplitude at the
-    turning point, and the block's eigenvector differs from T's by
-    about as much.  With no cut (s = n - 1, as always where abs_tol is
-    not finite and positive, save at rows that zero couplings isolate)
+    Summed outward from the turning point, the decay exponents reach R
+    at row s, so the entries dropped lie below about e^-R =
+    sqrt(abs_tol / (_AIM_STOP max|e|)) of the amplitude at the turning
+    point, and the block's eigenvector differs from T's by about as
+    much.  With no cut (s = n - 1, as always where abs_tol is not finite
+    and positive or e is 0, save at rows that zero couplings isolate)
     the vector is the whole matrix's twisted factorization.
     """
-    e2, pivmin, radius, lower, reach = _matrix(d, e, abs_tol)
-    # at or above the eigenvalue (sigma may lie an ulp below it where
-    # abs_tol is under half its ulp): below it, the tail could cut off
-    # a row that zero couplings isolate and that holds the state
-    s = _tail(d, radius, lower, math.nextafter(sigma + abs_tol, math.inf), reach)
-    top_down, bottom_up = _rows(d[: s + 1], e2[: s + 1])
-    down = _pivots(*top_down, sigma, pivmin)
-    up = _pivots(*bottom_up, sigma, pivmin)[::-1]
-    shifted = d[: s + 1] - sigma
-    x = np.zeros(d.shape[0])
-    block = x[: s + 1]
+    rows, k, pivmin, e, abs_tol = block
+    down, up, gamma = _twisted(rows, k, sigma, pivmin)
+    bound = (e.shape[0] + 1) * (abs_tol + math.ulp(float(np.max(np.abs(e), initial=0.0))))
     with np.errstate(over="ignore", invalid="ignore"):
-        k = int(np.argmin(np.abs(down + up - shifted)))
-        block[k] = 1.0
-        block[:k] = np.cumprod((-e[:k] / down[:k])[::-1])[::-1]
-        block[k + 1 :] = np.cumprod(-e[k:s] / up[k + 1 :])
-        block /= np.max(np.abs(block))
-        block /= math.sqrt(float(np.add.accumulate(block * block)[-1]))
+        x = _vector(e, k, down, up)
+        if not abs(gamma) <= bound * np.max(np.abs(x)):
+            (d, e2), (d_up, e2_up) = rows
+            down, up = _pivot_list(d, e2, sigma, pivmin), _pivot_list(d_up, e2_up, sigma, pivmin)[::-1]
+            k = int(np.argmin(np.abs(np.add(down, up) - np.subtract(d, sigma))))
+            x = _vector(e, k, down[:k], up[:k:-1])
+        x /= np.max(np.abs(x))
+        x /= math.sqrt(float(np.add.accumulate(x * x)[-1]))
     return x

@@ -16,11 +16,12 @@ extrapolation's own estimate, meets an accuracy target.  It never
 stops before its fourth level: the first level's operator comes from
 discretize, which also checks the domain's extent, and the next three
 from one pass that calls V once on all their radii.  The groundstate
-vector comes from one twisted factorization on the finest grid.  Each
-solve uses one domain: an explicit r_max, or for the sextic family one
-derived from the potential's own length scale, so that a rescaled
-potential r -> s r gets a domain exactly s times as wide, and warns at
-most once that the domain looks too short.
+vector comes from one twisted factorization on the finest grid, over
+the block that grid's bisection solved.  Each solve uses one domain:
+an explicit r_max, or for the sextic family one derived from the
+potential's own length scale, so that a rescaled potential r -> s r
+gets a domain exactly s times as wide, and warns at most once that the
+domain looks too short.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
@@ -108,11 +109,12 @@ class EigenResult:
     twisted factorization at the fine eigenvalue, sign-checked (no entry
     below -1e-8 times the peak) and normalized so
     sum(vector^2 r^(N-1)) dr = 1.  It is the leading block's that the
-    bisection solves (see _kernels.eigenvector): exactly 0 past the row
-    where the state has decayed below about sqrt(tol / (64 max|e|)) of
-    its peak, for the bisection's tolerance tol and the operator's
-    largest off-diagonal |e|.  richardson_pair keeps the two finest
-    raw eigenvalues (coarse, fine).  error_estimate bounds the energy's
+    fine eigenvalue's bisection solved and handed on (see
+    _kernels.eigenvector): exactly 0 past the row where the state has
+    decayed below about sqrt(tol / (64 max|e|)) of its peak, for the
+    bisection's tolerance tol and the operator's largest off-diagonal
+    |e|.  richardson_pair keeps the two finest raw eigenvalues (coarse,
+    fine).  error_estimate bounds the energy's
     error: |E2_k - E2_(k-1)| / 31 over the ladder's last two levels,
     plus the bisection's tolerance, plus the round-off eps n^2 / r_max^2
     of an eigenvalue on n cells (see groundstate); every solve has one.
@@ -325,8 +327,8 @@ def groundstate(
     estimate comes back as error_estimate.  The energy, richardson_pair
     and vector all come from the last level and the ones below; the
     vector is one twisted factorization (_kernels.eigenvector) at the
-    finest grid's eigenvalue, over the leading block that its bisection
-    tolerance leaves, and 0 past it.
+    finest grid's eigenvalue, over the leading block its bisection
+    solved and handed on with it, and 0 past it.
 
     The operators are discretize's.  The first level's comes from
     discretize itself, with its GridExtentWarning, so a solve warns at
@@ -387,7 +389,8 @@ def groundstate(
         # _kernels.smallest_eigenvalue), and E2 weights three levels by
         # (64, -20, 1) / 45, so the bisections move E2 by at most
         # 85/45 * 0.516 < 1 bisect_tol, the share error_estimate adds
-        e_fine = float(_kernels.smallest_eigenvalue(diag, off, bisect_tol, estimate))
+        fine = _kernels.smallest_eigenvalue(diag, off, bisect_tol, estimate)
+        e_fine = float(fine)
         if rows:
             e_coarse = rows[-1][0]
             coarse_kinetic = (n / 2.0 / r_max) ** 2
@@ -426,8 +429,8 @@ def groundstate(
     energy = rows[-1][-1]
     if not math.isfinite(energy):
         raise RuntimeError("groundstate energy is not finite")
-    # diag and off are the finest grid's operator, the last one the loop built
-    vec = _kernels.eigenvector(diag, off, e_fine, bisect_tol)
+    # fine is the last level's eigenvalue, with the block it was bisected over
+    vec = _kernels.eigenvector(fine.block, fine)
     if not np.isfinite(vec).all():
         raise RuntimeError("groundstate vector is not finite")
     if vec.min() < -1e-8 * vec.max():

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sombrero import (
@@ -29,7 +29,7 @@ from sombrero import (
     verify_solution,
 )
 from sombrero import _kernels, eigensolver
-from conftest import SQRT3, log_walks, random_potential
+from conftest import SQRT3, log_walks, loop_eigenvector, random_potential
 
 
 # |E - truth| <= ESTIMATE_FACTOR * error_estimate on closed-form cases;
@@ -240,17 +240,23 @@ class TestHarmonicCalibration:
 class TestZeroModeOracle:
     def test_reference_case_energy_and_vector(self, worked_potential, monkeypatch):
         calls = []
-        eigenvector = _kernels.eigenvector
-        monkeypatch.setattr(_kernels, "eigenvector", lambda *args: calls.append(args) or eigenvector(*args))
+        smallest_eigenvalue = _kernels.smallest_eigenvalue
+
+        def recorded(d, e, abs_tol, estimate):
+            calls.append((d, e, abs_tol, smallest_eigenvalue(d, e, abs_tol, estimate)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", recorded)
         res = groundstate(worked_potential, r_max=8.0, n_points=2000)
         assert abs(res.energy) < 1e-6
         # nodeless vector, normalized under the radial weight: the leading
         # block's, which leaves out entries below about e^-R =
         # sqrt(abs_tol / (64 max|e|)) of the peak, so it is positive
-        # wherever the full walk's vector (an infinite tolerance cuts no
-        # row) lies above that, here for r < 2.94, and 0 from r = 3.0 on
-        ((d, e, sigma, abs_tol),) = calls
-        full = eigenvector(d, e, sigma, math.inf)
+        # wherever the full walk's vector on the finest level (the loop
+        # reference cuts no row) lies above that, here for r < 2.94, and
+        # 0 from r = 3.0 on
+        d, e, abs_tol, sigma = calls[-1]
+        full = loop_eigenvector(d, e, sigma, abs_tol)
         above = full > math.sqrt(abs_tol / (64.0 * float(np.max(np.abs(e))))) * full.max()
         assert np.all(res.vector >= 0.0)
         assert np.all(res.vector[above] > 0.0)
@@ -544,6 +550,81 @@ class TestScaleCovariance:
         assert report.failures == ()
 
 
+class TestPowerOfTwoScale:
+    """Under r -> s r with s = 2^k every step of the oracle is exact in
+    binary floating point: the family's coefficients, the domain, the
+    radii, the operator and the bisection's tolerance all scale by powers
+    of two, and the tail's reach is a ratio of the matrix's own scale to
+    the tolerance.  So the answers are the same bits: the energy, the
+    Richardson pair and the error estimate times s^2, r_max times s, the
+    same ladder levels and the same oracle failures, and the same whole
+    verdict wherever the claim's closed-form e0 scales exactly too.  The
+    kernels' unit vector is the same bits; psi is that vector over its
+    r^((N-1)/2) scale, which need not round exactly, so psi s^(N/2)
+    matches to rounding."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(-30, 30),
+        n_dim=st.integers(1, 9),
+        lambda_=st.floats(1.0, 10.0, exclude_min=True),
+    )
+    # the reach took max(|e|, 1), a constant in absolute units, and moved
+    # this solve's energy by 0.015 of its estimate
+    @example(k=16, n_dim=3, lambda_=1.5)
+    def test_rescaled_family_same_bits(self, k, n_dim, lambda_):
+        roots = solve_eta(lambda_, n_dim)
+        assume(roots)
+        s = 2.0**k
+        base = params_from_lambda(1.5, lambda_, roots[0], n_dim).potential
+
+        def outcome(p):
+            """verify's report (or RuntimeError), each level's cells and
+            eigenvalue, and the solve and the kernels' unit vector behind it."""
+            raw, solves, vectors = [], [], []
+            smallest_eigenvalue, groundstate_, eigenvector = (
+                _kernels.smallest_eigenvalue, eigensolver.groundstate, _kernels.eigenvector)
+
+            def bisection(*args):
+                raw.append((len(args[0]), smallest_eigenvalue(*args)))
+                return raw[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridExtentWarning)
+                mp.setattr(_kernels, "smallest_eigenvalue", bisection)
+                mp.setattr(eigensolver, "groundstate", lambda *a, **kw: solves.append(groundstate_(*a, **kw)) or solves[-1])
+                mp.setattr(_kernels, "eigenvector", lambda *a: vectors.append(eigenvector(*a)) or vectors[-1])
+                try:
+                    report = verify_solution(ZeroModeSolution(potential=p, trial=derive_trial(p)))
+                except RuntimeError:  # such as "grid too coarse" for a root near lambda = 1
+                    report = RuntimeError
+            return report, raw, solves, vectors
+
+        one, raw, solves, vectors = outcome(base)
+        other, scaled_raw, scaled_solves, scaled_vectors = outcome(TestScaleCovariance.rescaled(base, s))
+        assert [(n, (x * s * s).hex()) for n, x in scaled_raw] == [(n, x.hex()) for n, x in raw]
+        if one is RuntimeError:
+            assert other is RuntimeError
+            return
+        (res,), (scaled,) = solves, scaled_solves
+        assert (scaled.grid.r_max / s).hex() == res.grid.r_max.hex()
+        assert scaled.grid.n_points == res.grid.n_points
+        for a, b in ((scaled.energy, res.energy), (scaled.error_estimate, res.error_estimate),
+                     *zip(scaled.richardson_pair, res.richardson_pair)):
+            assert (a * s * s).hex() == b.hex()
+        assert scaled_vectors[0].tobytes() == vectors[0].tobytes()
+        psi = scaled.vector * s ** (n_dim / 2.0)
+        assert np.max(np.abs(psi - res.vector)) <= 1e-13 * np.max(np.abs(res.vector))
+        oracle = {"oracle_unresolved", "eigenvector_similarity"}
+        assert oracle & set(other.failures) == oracle & set(one.failures)
+        # the closed-form e0 is the claim's, not the oracle's: its m terms
+        # hold the trial's absolute length 1 in 1 / (r^2 + 1), so where m
+        # is rounding noise e0 s^2 can miss the unscaled e0, and the
+        # energy comparison with it (k = -14, N = 1, lambda = 2)
+        if (other.closed_form_e0 * s * s).hex() == one.closed_form_e0.hex():
+            assert (other.passed, other.failures) == (one.passed, one.failures)
+
+
 class TestStages:
     """One domain per solve: one bisection per grid level and one eigenvector."""
 
@@ -558,8 +639,9 @@ class TestStages:
 
         def counted_eigenvector(*args):
             calls["eigenvector"] += 1
-            calls["vector_size"] = len(args[0])
-            return eigenvector(*args)
+            vector = eigenvector(*args)
+            calls["vector_size"] = vector.size
+            return vector
 
         def recorded_bisection(*args):
             calls["levels"].append(len(args[0]))
@@ -692,13 +774,46 @@ class TestStages:
         # matrix both walks took 1000 rows on either domain; over the
         # leading block found a tolerance above the eigenvalue they stop
         # at r = 3.0 on r_max = 8, and short of the automatic domain's wall
-        # (867 of 1000 rows there, on the ladder that ran from 125 cells)
+        # (867 of 1000 rows there, on the ladder that ran from 125 cells).
+        # Both walks ran over that whole block, 442 and 376 rows each; the
+        # twist at the aim's k walks rows 0..k-1 and s..k+1 of the
+        # bisection's block, which holds as many rows
         log = log_walks(monkeypatch)
         assert groundstate(worked_potential).grid.n_points == 512
-        assert [rows for kind, rows in log if kind == "vector"] == [442, 442]
+        assert [rows for kind, rows in log if kind == "vector"] == [203, 238]
         log.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
-        assert [rows for kind, rows in log if kind == "vector"] == [376, 376]
+        assert [rows for kind, rows in log if kind == "vector"] == [172, 203]
+
+    def test_one_set_up_per_warm_level(self, worked_potential, monkeypatch):
+        # counts of _matrix, _tail and _rows calls per ladder level, the
+        # eigenvector's with the finest level's: the finest level sets its
+        # matrix up once for its eigenvalue and vector together, where the
+        # vector used to set it up again.  The cold first level cuts the
+        # bisection's block at min(d) and the one it hands on at the top
+        # of its last bracket; the second level's eigenvalue lies above
+        # the secant's upper start, so it checks the tail there again
+        counts = []
+        smallest_eigenvalue = _kernels.smallest_eigenvalue
+
+        def per_level(*args):
+            counts.append([0, 0, 0])
+            return smallest_eigenvalue(*args)
+
+        def counted(stage, f):
+            def call(*args):
+                counts[-1][stage] += 1
+                return f(*args)
+            return call
+
+        for stage, name in enumerate(("_matrix", "_tail", "_rows")):
+            monkeypatch.setattr(_kernels, name, counted(stage, getattr(_kernels, name)))
+        monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
+        assert groundstate(worked_potential).grid.n_points == 512
+        assert counts == [[1, 2, 2], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
+        counts.clear()
+        assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
+        assert counts == [[1, 2, 2], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
 
     def test_explicit_domain(self, worked_potential, calls):
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.r_max == 8.0
@@ -853,7 +968,7 @@ class TestPinnedAnswers:
             groundstate(worked_potential, r_max=8.0, n_points=2000),
             "-0x1.a494852222222p-37",
             ("-0x1.18aab1e22c997p-12", "-0x1.18a0bd31db9c5p-14"),
-            "e772f78c0f13e3f4bbeead314d3fd21d5518b142d0554b5ff4e85eedbf256e84",
+            "c661b3f74a0260231346db9ca113c8ca3129fed700cb80794a2e626edb83a121",
             8.0,
         )
 
@@ -867,7 +982,7 @@ class TestPinnedAnswers:
             groundstate(sol.potential, n_points=2000),
             "0x1.607cc84fa4fbcp-41",
             ("-0x1.12a92fb00c183p-18", "-0x1.12a754bd0d5eap-20"),
-            "ff86c41a4112502071090adc72511bbbd7b72f9199b4f55ebb608feef22efbd1",
+            "c4cdabee0c93bcc2ae0174e37b8256f784426e73605012f5932d640519c367aa",
             12.116610267070016,
         )
 
@@ -878,7 +993,7 @@ class TestPinnedAnswers:
             groundstate(p, extra_potential=split.h_at, r_max=8.0, n_points=2000),
             "0x1.4000000006531p+1",
             ("0x1.3fff9a4ce3726p+1", "0x1.3fffe693d9aeep+1"),
-            "475d7ee4b2d8c37deb35f68304937a46e48842eade89aa18bebb8d18692d7727",
+            "ff8653ab1f4f49e55b259b1f99f125d6b3af76e9007b8dd8078e274f8096b7b2",
             8.0,
         )
 
@@ -890,7 +1005,7 @@ class TestPinnedAnswers:
             res,
             "-0x1.67341796c1555p-38",
             ("-0x1.910bee61e8112p-13", "-0x1.9101c4cd43c70p-15"),
-            "428fa986a6d6264dccf7f45f48149c30c80134029c28cea06e3e524037db5861",
+            "8e849f9b64868d02d40bec0a98493a79b6bf1438d4f10ce76bd4d3bd25ea7f03",
             3.462249204802943,
         )
         assert res.error_estimate.hex() == "0x1.a5f6720c1aa25p-36"
@@ -902,7 +1017,7 @@ class TestPinnedAnswers:
             res,
             "-0x1.885905ccccccdp-42",
             ("-0x1.05f6696ed7878p-16", "-0x1.05efc5e0969cdp-18"),
-            "19be2ab4c1f57431ca7939386a1a50a8588cc759fd3a5acbfccc132c9831d09e",
+            "bf9d47bf60c48aecb88d1030a03143e391aa9cecad9b4e1a92a2253356a1633a",
             12.116610267070016,
         )
         assert res.error_estimate.hex() == "0x1.13f4172c3c950p-39"

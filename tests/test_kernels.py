@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sombrero import PotentialParams, RadialGrid, _kernels, derive_trial, discretize, groundstate, trial_split
-from conftest import SQRT3, log_walks, random_potential
+from conftest import SQRT3, log_walks, loop_eigenvector, loop_pivots, random_potential
 
 
 def random_tridiagonal(rng, n):
@@ -173,8 +173,7 @@ def aimed_gap(d, e, x):
     """gamma_k(x) at the index k = argmin(d) that smallest_eigenvalue aims with."""
     e2 = np.concatenate(([0.0], e * e))
     pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2)))
-    top, bottom = _kernels._rows(d, e2)
-    return _kernels._twisted_gap(*top, *bottom, int(np.argmin(d)), x, pivmin)
+    return _kernels._twisted_gap(_kernels._rows(d, e2), int(np.argmin(d)), x, pivmin)
 
 
 def _worked_case():
@@ -469,7 +468,9 @@ class TestTailStop:
         # a call without an estimate cuts one block, at min(d), and
         # halves and then aims over the same lists; an estimate so low
         # that the block cut above it is too short sends the call on to
-        # that path within the one call the caller sees
+        # that path within the one call the caller sees.  That path then
+        # cuts the block it hands to eigenvector at the top of its last
+        # bracket, as min(d) lies far above the eigenvalue
         d, e, tol, _ = next(islice(wall_matrices(), 3, None))
         exact = exact_eigenvalue(d, e)
         tails, rows, calls = [], [], []
@@ -486,14 +487,19 @@ class TestTailStop:
         monkeypatch.setattr(_kernels, "_tail", recorded_tail)
         monkeypatch.setattr(_kernels, "_rows", lambda *args: rows.append(args) or rows_(*args))
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", counted_smallest_eigenvalue)
-        assert_within_tolerance(_kernels.smallest_eigenvalue(d, e, tol), exact, tol)
-        assert (tails, len(rows), len(calls)) == ([float(np.min(d))], 1, 1)
+        sigma = _kernels.smallest_eigenvalue(d, e, tol)
+        assert_within_tolerance(sigma, exact, tol)
+        assert (tails[0], len(tails), len(rows), len(calls)) == (float(np.min(d)), 2, 2, 1)
+        assert sigma <= tails[1] <= sigma + tol
         del tails[:], rows[:], calls[:]
         low = exact - 1e4 * _kernels._AIM_SPREAD * tol
-        assert_within_tolerance(_kernels.smallest_eigenvalue(d, e, tol, low), exact, tol)
+        sigma = _kernels.smallest_eigenvalue(d, e, tol, low)
+        assert_within_tolerance(sigma, exact, tol)
         # the tail at the secant's upper start, again at the bracket's
-        # top, and once at min(d) for the call without an estimate
-        assert (len(tails), tails[-1], len(rows), len(calls)) == (3, float(np.min(d)), 2, 1)
+        # top, once at min(d) for the call without an estimate, and the
+        # vector's
+        assert (len(tails), tails[2], len(rows), len(calls)) == (4, float(np.min(d)), 3, 1)
+        assert sigma <= tails[3] <= sigma + tol
 
 
 class TestSameBitsTwice:
@@ -507,7 +513,7 @@ class TestSameBitsTwice:
             first = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             again = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             assert np.float64(again).tobytes() == np.float64(first).tobytes()
-            assert _kernels.eigenvector(d, e, first, tol).tobytes() == _kernels.eigenvector(d, e, again, tol).tobytes()
+            assert _kernels.eigenvector(first.block, first).tobytes() == _kernels.eigenvector(again.block, again).tobytes()
 
     @staticmethod
     def _identity_case():
@@ -525,51 +531,6 @@ class TestSameBitsTwice:
                      *zip(first.richardson_pair, again.richardson_pair)):
             assert a.hex() == b.hex()
         assert first.vector.tobytes() == again.vector.tobytes()
-
-
-def loop_pivots(shifted, e2, pivmin):
-    """Reference: q_0 = shifted_0, q_i = shifted_i - e2_(i-1) / q_(i-1),
-    each |q_i| < pivmin floored to -pivmin, one index at a time."""
-    n = shifted.shape[0]
-    out = np.empty(n)
-    with np.errstate(all="ignore"):
-        for i in range(n):
-            q = shifted[i] if i == 0 else shifted[i] - e2[i - 1] / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            out[i] = q
-    return out
-
-
-def loop_eigenvector(d, e, sigma):
-    """Reference: the full walk, one twisted factorization of the whole
-    matrix one index at a time.  loop_pivots top-down and bottom-up, the
-    first twist index k with the least |D+_k + D-_k - (d_k - sigma)|,
-    running products outward from x_k = 1, then the scaling by the
-    largest |x_i| and by the root of a running sum of squares."""
-    n = d.shape[0]
-    e2 = e * e
-    pivmin = _kernels._SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
-    with np.errstate(all="ignore"):
-        shifted = d - sigma
-        down = loop_pivots(shifted, e2, pivmin)
-        up = loop_pivots(shifted[::-1], e2[::-1], pivmin)[::-1]
-        k = 0
-        for i in range(1, n):
-            if abs(down[i] + up[i] - shifted[i]) < abs(down[k] + up[k] - shifted[k]):
-                k = i
-        x = np.ones(n)
-        for i in range(k - 1, -1, -1):
-            x[i] = x[i + 1] * (-e[i] / down[i])
-        for i in range(k + 1, n):
-            x[i] = x[i - 1] * (-e[i - 1] / up[i])
-        peak = max(abs(xi) for xi in x)
-        x /= peak
-        total = 0.0
-        for xi in x:
-            total += xi * xi
-        x /= math.sqrt(total)
-    return x
 
 
 def loop_last_pivot(x, d, e2, pivmin):
@@ -618,16 +579,15 @@ class TestWalksMatchLoopReference:
             # the walks' lists, e2 led by a 0 top-down and bottom-up
             top, bottom = _kernels._rows(d, np.concatenate(([0.0], e2)))
             for x in shifts:
-                # top-down and bottom-up: the eigenvector's two walks, and _twisted_gap's
+                # top-down and bottom-up: the walks of the aim's gamma_k and of the eigenvector
                 for (rows, couplings), dd, ee in ((top, d, e2), (bottom, d[::-1], e2[::-1])):
                     with np.errstate(all="ignore"):
                         shifted = dd - x
-                    got = _kernels._pivots(rows, couplings, x, pivmin)
-                    assert got.dtype == np.float64 and got.shape == dd.shape
-                    assert got.tobytes() == loop_pivots(shifted, ee, pivmin).tobytes(), (d, e, x)
-                    got = _kernels._last_pivot(rows, couplings, x, pivmin)
+                    got = _kernels._pivot_list(rows, couplings, x, pivmin)
+                    assert len(got) == dd.shape[0] and all(type(q) is float for q in got)
+                    assert np.array(got).tobytes() == loop_pivots(shifted, ee, pivmin).tobytes(), (d, e, x)
                     ref = loop_last_pivot(x, dd, ee, pivmin)
-                    assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (d, e, x)
+                    assert np.float64(got[-1]).tobytes() == np.float64(ref).tobytes(), (d, e, x)
 
 
 class TestSmallestEigenvalue:
@@ -667,9 +627,10 @@ class TestSmallestEigenvalue:
 
 class TestEigenvector:
     # |v - full walk| / peak in units of e^-R = sqrt(abs_tol / (64
-    # max(|e|, 1))), the decay at which the leading block ends: measured
-    # at most 0.142 (the worked case on 8000 cells at r_max = 8), 0.106
-    # on the wall matrices and 0.032 on the random ones
+    # max|e|)), the decay at which the leading block ends: measured at
+    # most 0.142 (the worked case on 8000 cells at r_max = 8), 0.106 on
+    # the wall matrices and 0.027 on the random ones (0.032 with the
+    # reach taken from max(|e|, 1))
     CUT_ERROR = 0.25
 
     @staticmethod
@@ -686,7 +647,7 @@ class TestEigenvector:
             d, e = random_tridiagonal(rng, n)  # off-diagonals of both signs
             _, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            self.assert_matches(_kernels.eigenvector(d, e, sigma, 1e-13), vecs[:, 0], 1e-12)
+            self.assert_matches(_kernels.eigenvector(sigma.block, sigma), vecs[:, 0], 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_matrices_against_dense_eigh(self, n):
@@ -695,14 +656,14 @@ class TestEigenvector:
             d, e = random_tridiagonal(rng, n)
             _, reference = dense_groundstate(d, e)
             sigma = _kernels.smallest_eigenvalue(d, e, 1e-13)
-            self.assert_matches(_kernels.eigenvector(d, e, sigma, 1e-13), reference, 1e-12)
+            self.assert_matches(_kernels.eigenvector(sigma.block, sigma), reference, 1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 500])
     def test_degenerate_constant_matrix(self, n):
         d, e = degenerate_constant_matrix(n)
         _, reference = dense_groundstate(d, e)
         sigma = _kernels.smallest_eigenvalue(d, e, 1e-12)
-        v = _kernels.eigenvector(d, e, sigma, 1e-12)
+        v = _kernels.eigenvector(sigma.block, sigma)
         self.assert_matches(v, reference, 1e-12)
         assert v.min() > 0.0
 
@@ -713,7 +674,7 @@ class TestEigenvector:
         # underflows to zero where the true values fall below 1e-308)
         op = discretize(worked_potential, grid=RadialGrid.make(8.0, n))
         sigma = _kernels.smallest_eigenvalue(op.diag, op.off_diag, 1e-12)
-        v = _kernels.eigenvector(op.diag, op.off_diag, sigma, 1e-12)
+        v = _kernels.eigenvector(sigma.block, sigma)
         _, vecs = sla.eigh_tridiagonal(op.diag, op.off_diag, select="i", select_range=(0, 0))
         reference = vecs[:, 0] * np.sign(vecs[:, 0].sum())
         self.assert_matches(v, reference, 1e-13)
@@ -721,14 +682,14 @@ class TestEigenvector:
         assert v.min() >= 0.0
 
     def test_leading_block_against_full_walk(self, worked_potential, monkeypatch):
-        # the vector of the leading block the walks stop at, against the
-        # twisted factorization of the whole matrix at the same sigma:
-        # within CUT_ERROR e^-R of its peak, exactly 0 past the block,
-        # positive in it where every coupling is negative, and the full
-        # walk's bits where nothing is cut.  One random matrix that zero
-        # couplings split, and the five-row ones below, hold the state
-        # past rows they isolate, which a tail found below the eigenvalue
-        # cuts off
+        # the vector of the leading block the bisection hands on, against
+        # the twisted factorization of the whole matrix at the same sigma
+        # and the same twist rule: within CUT_ERROR e^-R of its peak,
+        # exactly 0 past the block, positive in it where every coupling
+        # is negative, and the full walk's bits where nothing is cut.  One
+        # random matrix that zero couplings split, and the five-row ones
+        # below, hold the state past rows they isolate, which a tail
+        # found below the eigenvalue cuts off
         matrices = [(d, e, tol, None) for d, e, tol in random_matrices()]
         matrices += [*wall_matrices(), *_worked_case()]
         for n in (1000, 2000, 4000, 8000):
@@ -740,16 +701,34 @@ class TestEigenvector:
         # may lie an ulp below it
         for dm in np.linspace(9998.25, 9998.35, 16):
             matrices.append((np.array([1e4, 1e4, 1e4, 1e4 + 100.0, dm]), np.array([-1.0, -1.0, 0.0, 0.0]), 1e-14, None))
+        # two wells, -(1/2) psi'' + V psi on 400 cells of [0, 1]: the state
+        # lies in the wide one, and argmin(d) in the narrow, deeper one,
+        # where the state is below 1e-9 of its peak: the twist there
+        # misses the state, and the vector twists again
+        x = (np.arange(400) + 0.5) / 400
+        v = np.where(abs(x - 0.2) < 0.01, -5000.0, 0.0) + np.where(abs(x - 0.65) < 0.15, -3000.0, 0.0)
+        matrices += [(400.0**2 + v, np.full(399, -0.5 * 400.0**2), 1e-9, estimate) for estimate in (None, -2950.0)]
         log = log_walks(monkeypatch)
-        cut = []
+        cut, twisted_again = [], []
         for d, e, tol, estimate in matrices:
             sigma = _kernels.smallest_eigenvalue(d, e, tol, estimate)
             log.clear()
-            v = _kernels.eigenvector(d, e, sigma, tol)
-            (_, rows), (_, rows_up) = [entry for entry in log if entry[0] == "vector"]
-            assert rows == rows_up
-            full = loop_eigenvector(d, e, sigma)
-            depth = math.sqrt(tol / (64.0 * max(1.0, float(np.max(np.abs(e), initial=0.0)))))
+            v = _kernels.eigenvector(sigma.block, sigma)
+            # the twist at k walks rows 0..k-1 top down and s..k+1 bottom
+            # up, every row of the block but k once; where its gamma_k is
+            # too large, both walks run over the whole block
+            (top_down, _), k = sigma.block[:2]
+            rows = len(top_down[0])
+            walks = [r for kind, r in log if kind == "vector"]
+            assert k == int(np.argmin(d[:rows]))
+            assert walks[:2] == [k, rows - 1 - k]
+            assert walks[2:] in ([], [rows, rows])
+            twisted_again.append(len(walks) > 2)
+            full = loop_eigenvector(d, e, sigma, tol, k)
+            # e^-R for R = ln(64 max|e| / tol) / 2, or 0 where that is
+            # negative, and no cut where e is 0
+            e_max = float(np.max(np.abs(e), initial=0.0))
+            depth = min(1.0, math.sqrt(tol / (64.0 * e_max))) if e_max * e_max > 0.0 else 0.0
             assert np.max(np.abs(v - full)) <= self.CUT_ERROR * depth * np.max(np.abs(full))
             assert not v[rows:].any()
             if np.all(e[: rows - 1] < 0.0):
@@ -758,10 +737,13 @@ class TestEigenvector:
                 assert v.tobytes() == full.tobytes()
             cut.append(rows < d.size)
         assert any(cut)
+        assert twisted_again[-2:] == [True, True]
 
     def test_exact_singular_shift_survives(self):
         # sigma exactly an eigenvalue of 1x1 blocks: every pivot is zero
-        v = _kernels.eigenvector(np.ones(3), np.zeros(2), 1.0, 1e-13)
+        sigma = _kernels.smallest_eigenvalue(np.ones(3), np.zeros(2), 1e-13)
+        assert sigma == 1.0
+        v = _kernels.eigenvector(sigma.block, sigma)
         assert np.all(np.isfinite(v))
         assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
 
@@ -774,7 +756,7 @@ class TestEigenvector:
         e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
         norm = max(1.0, float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
         sigma = _kernels.smallest_eigenvalue(d, e, 1e-13 * norm)
-        v = _kernels.eigenvector(d, e, sigma, 1e-13 * norm)
+        v = _kernels.eigenvector(sigma.block, sigma)
         assert math.fsum(v * v) == pytest.approx(1.0, rel=1e-12)
         # the twisted factorization solves (T - sigma) v = gamma_k e_k, a
         # residual no larger than the eigenvalue's own error allows
