@@ -28,15 +28,20 @@ enough, the rest of the matrix moves the smallest eigenvalue by well
 under abs_tol, so the bisection solves the leading block of rows
 0..s.  One helper (_matrix) sets up the matrix, the reach that ends
 the block included, and a bisection cuts one block (a second only
-where its estimate lay too low, or where it had none) and turns it
-into Python lists once (_rows).  It hands that block on with the
-eigenvalue (Eigenvalue), and the eigenvector is that block's,
-exactly 0 past it: the entries it drops lie below about
-sqrt(abs_tol / (64 max|e|)) of the peak.  The eigenvector sets up
-nothing of its own: it twists once at the index the aim's secant
-twists at, with the same walks (_twisted), and twists again only where
-that index misses the state.  Every walk subtracts x from d_i in its
-loop: a Python float subtraction gives the bits numpy's d - x would.
+where its estimate lay too low) and turns it into Python lists once
+(_rows).  It hands that block on with the eigenvalue (Eigenvalue), and
+the eigenvector is that block's, exactly 0 past it: the entries it
+drops lie below about sqrt(abs_tol / (64 max|e|)) of the peak.  A call
+without an estimate cuts its block far above the eigenvalue, so the
+block it hands on is cut again, once and only when it is first read:
+such a call is a grid ladder's first level, which is almost never its
+finest.  The eigenvector sets up nothing of its own: it twists once at
+the index the aim's secant twists at (_twisted), and twists again only
+where that index misses the state.  The secant's walks are the same,
+but keep only their last pivots (_last_pivot, _twisted_gap), with the
+same operations in the same order, so gamma_k has the same bits.
+Every walk subtracts x from d_i in its loop: a Python float
+subtraction gives the bits numpy's d - x would.
 """
 
 import math
@@ -113,9 +118,24 @@ def _twisted(rows, k, x, pivmin):
     return down, up, d[k] - x - (e2[k] / down[-1] if down else 0.0) - (e2[k + 1] / up[-1] if up else 0.0)
 
 
+def _last_pivot(d, e2, x, pivmin) -> float:
+    """The last pivot of _pivot_list(d, e2, x, pivmin), over any
+    iterables, with no list kept."""
+    q, floor = 1.0, -pivmin
+    for di, e2i in zip(d, e2):
+        q = di - x - e2i / q
+        if q < pivmin and q > floor:
+            q = floor
+    return q
+
+
 def _twisted_gap(rows, k, x, pivmin) -> float:
-    """gamma_k of _twisted alone, for the aim's secant."""
-    return _twisted(rows, k, x, pivmin)[2]
+    """gamma_k of _twisted alone, for the aim's secant: the same walks,
+    operations and order, keeping only each walk's last pivot."""
+    (d, e2), (d_up, e2_up) = rows
+    below = len(d) - 1 - k
+    gap = d[k] - x - (e2[k] / _last_pivot(islice(d, k), e2, x, pivmin) if k else 0.0)
+    return gap - (e2[k + 1] / _last_pivot(islice(d_up, below), e2_up, x, pivmin) if below else 0.0)
 
 
 def _secant_root(f, x0, x1, abs_tol) -> float:
@@ -191,12 +211,20 @@ class Eigenvalue(float):
     for eigenvector: (rows, k, pivmin, e, abs_tol), its _rows lists, the
     aim's index k = argmin(d) over it, _matrix's pivmin, the whole
     matrix's off-diagonal e, whose first s entries couple the block's
-    rows, and the bisection's abs_tol."""
+    rows, and the bisection's abs_tol.  block is given either as that
+    tuple or as a function that cuts it, which runs on the first read
+    of block alone; the tuple it returns is kept."""
 
     def __new__(cls, value, block):
         self = super().__new__(cls, value)
-        self.block = block
+        self._block = block
         return self
+
+    @property
+    def block(self):
+        if callable(self._block):
+            self._block = self._block()
+        return self._block
 
 
 def smallest_eigenvalue(d, e, abs_tol, estimate=None) -> Eigenvalue:
@@ -233,11 +261,11 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None) -> Eigenvalue:
     bisection's last bracket, at or above the eigenvalue: a call with an
     estimate hands on its own block, which the check above finds to be
     that one, and a call without cuts it again there, for eigenvector
-    alone.
+    alone, once the result's block is first read.
 
     The bisection is aimed before it narrows the bracket to the end
     (_aim).  Secant steps on the twisted gap gamma_k(x) at the block's
-    k = argmin(d) (see _twisted; each step costs about one probe)
+    k = argmin(d) (_twisted_gap; each step costs about one probe)
     find its root x, an estimate of the eigenvalue.  With a finite
     estimate (typically the eigenvalue a coarser grid predicts) they
     start at once from estimate -+ _AIM_SPREAD * abs_tol; without one
@@ -263,10 +291,16 @@ def smallest_eigenvalue(d, e, abs_tol, estimate=None) -> Eigenvalue:
     k, rows = _block(d, e2, _tail(d, radius, lower, float(np.min(d)), reach))
     lo, hi = _halve(rows[0], pivmin, bottom, float(d[k]), _AIM_START * abs_tol)
     lo, hi = _aim(rows, k, pivmin, lo, hi, abs_tol, lo, hi)
+
     # min(d) lies far above the eigenvalue, and the block cut there runs
-    # deep into the tail, where the vector underflows to 0
-    k, rows = _block(d, e2, _tail(d, radius, lower, hi, reach))
-    return Eigenvalue(0.5 * lo + 0.5 * hi, (rows, k, pivmin, e, abs_tol))
+    # deep into the tail, where the vector underflows to 0; a cold call
+    # is rarely a ladder's finest level, so the block is cut again at hi
+    # only when eigenvector reads it
+    def cut():
+        k, rows = _block(d, e2, _tail(d, radius, lower, hi, reach))
+        return rows, k, pivmin, e, abs_tol
+
+    return Eigenvalue(0.5 * lo + 0.5 * hi, cut)
 
 
 def _block(d, e2, s):
@@ -345,12 +379,12 @@ def eigenvector(block, sigma) -> np.ndarray:
     cut at or above the eigenvalue.  One twisted factorization (Dhillon
     1997; Parlett & Dhillon, Linear Algebra Appl. 309, 2000) of the
     block minus sigma*I at the aim's index k = argmin(d), the one the
-    aim's secant walks (_twisted): the top-down pivots D+ of rows
-    0..k-1 and the bottom-up pivots D- of rows s..k+1, one walk of each
-    row but k, and x_k = 1 (_vector).  The vector solves
-    (T - sigma*I) x = gamma_k e_k, so gamma_k / max|x| is the residual
-    of x scaled to its peak.  Twisted at its largest entry,
-    that residual is at most about n |lambda - sigma| for an n-row
+    aim's secant walks (_twisted_gap), with the same walks (_twisted):
+    the top-down pivots D+ of rows 0..k-1 and the bottom-up pivots D-
+    of rows s..k+1, one walk of each row but k, and x_k = 1 (_vector).
+    The vector solves (T - sigma*I) x = gamma_k e_k, so gamma_k / max|x|
+    is the residual of x scaled to its peak.  Twisted at its largest
+    entry, that residual is at most about n |lambda - sigma| for an n-row
     matrix, and |lambda - sigma| is at most abs_tol plus the pivots'
     round-off, about an ulp of max|e|.  Where the state is not at k (a
     two-well potential can put argmin(d) in the other well, and a

@@ -416,7 +416,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # flags so extreme that float arithmetic overflows
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # the command is the first argument: before it the parser takes only --version
+        flags = " ".join((sys.argv[1:] if argv is None else argv)[1:])
+        print(f"error: {args.command}: the flags {flags} overflow double precision "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a --steps too large for the arrays it asks for
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

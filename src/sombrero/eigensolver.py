@@ -57,7 +57,7 @@ TOL_SIMILARITY = 1e-6
 # _ROUNDOFF * n^2 units (measured at most 0.74 eps n^2 from 8000 to
 # 16000 cells)
 DEFAULT_GRID_POINTS = 8192
-_LADDER_FLOOR = 64
+_LADDER_FLOOR = 32
 _LADDER_TARGET = TOL_ENERGY / 100
 _ROUNDOFF = float(np.finfo(float).eps)
 
@@ -154,7 +154,8 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     a barely confined state; both terms scale like V under r -> s r, so
     the test does not depend on the choice of units.  The
     warning points at the first caller outside this module: groundstate
-    builds its first level with discretize and its others with the same
+    builds its first level with discretize (32 cells on the default
+    ladder, 8192 giving 32, 64, ..., 8192) and its others with the same
     code (_operators), so a solve warns at most once, at its caller.
     """
     if grid is None:
@@ -245,7 +246,7 @@ def _ladder(n_points: int) -> tuple[int, ...]:
     The levels are n_points, n_points/2, n_points/4, ... down to the
     smallest exact halving with at least _LADDER_FLOOR cells, and always
     at least four, so that the finest level has an error estimate from
-    two Richardson steps: 8192 gives 64, 128, ..., 8192 and 2000 gives
+    two Richardson steps: 8192 gives 32, 64, ..., 8192 and 2000 gives
     125, 250, 500, 1000, 2000.  Raises ValueError unless n_points is a
     multiple of 8 and at least 128, which makes n_points/8 an exact
     level of MIN_GRID_POINTS or more.
@@ -306,7 +307,7 @@ def groundstate(
     twice: each consecutive pair of raw eigenvalues to
     E_k = (4 e_k - e_(k-1)) / 3, and each consecutive pair of those to
     E2_k = (16 E_k - E_(k-1)) / 15.  n_points is the finest grid the
-    ladder may use (see _ladder for its levels; 8192 gives 64, 128,
+    ladder may use (see _ladder for its levels; 8192 gives 32, 64,
     ..., 8192 cells).  The first level is bisected cold, the one after it
     (or after a restart, below) from its eigenvalue, and each later one
     from E_k + (e_(k-1) - e_k) / 12.  The ladder stops at the first level

@@ -45,14 +45,14 @@ def log_walks(monkeypatch) -> list:
     """Log each Sturm probe, gamma_k walk and eigenvector walk the kernels make.
 
     Appends (kind, rows walked): kind "yes" or "no" for a probe's answer,
-    "gamma" for one top-down or bottom-up walk of the aim's gamma_k, and
-    "vector" for one top-down or bottom-up pivot walk of the
-    eigenvector's (the top-down walk first).  A probe walks the leading
-    block only, so a "no" that walked fewer rows than the matrix has
-    stopped short of its last row.
+    "gamma" for one top-down or bottom-up walk of the aim's gamma_k
+    (_last_pivot), and "vector" for one top-down or bottom-up pivot walk
+    of the eigenvector's (_pivot_list, the top-down walk first).  A
+    probe walks the leading block only, so a "no" that walked fewer rows
+    than the matrix has stopped short of its last row.
     """
-    log, in_vector = [], []
-    pivot_below, pivot_list, eigenvector = _kernels._pivot_below, _kernels._pivot_list, _kernels.eigenvector
+    log = []
+    pivot_below, last_pivot, pivot_list = _kernels._pivot_below, _kernels._last_pivot, _kernels._pivot_list
 
     def counted_pivot_below(d, e2, x, pivmin):
         rows = _Counted(d)
@@ -60,21 +60,20 @@ def log_walks(monkeypatch) -> list:
         log.append(("yes" if answer else "no", rows.taken))
         return answer
 
+    def counted_last_pivot(d, e2, x, pivmin):
+        rows = _Counted(d)
+        q = last_pivot(rows, e2, x, pivmin)
+        log.append(("gamma", rows.taken))
+        return q
+
     def counted_pivot_list(d, e2, x, pivmin):
         pivots = pivot_list(d, e2, x, pivmin)
-        log.append(("vector" if in_vector else "gamma", len(pivots)))
+        log.append(("vector", len(pivots)))
         return pivots
 
-    def marked_eigenvector(*args):
-        in_vector.append(True)
-        try:
-            return eigenvector(*args)
-        finally:
-            in_vector.pop()
-
     monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
+    monkeypatch.setattr(_kernels, "_last_pivot", counted_last_pivot)
     monkeypatch.setattr(_kernels, "_pivot_list", counted_pivot_list)
-    monkeypatch.setattr(_kernels, "eigenvector", marked_eigenvector)
     return log
 
 

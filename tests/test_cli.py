@@ -657,6 +657,16 @@ class TestLibraryErrors:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_overflow_names_the_flags(self, command, capsys):
+        # g^2 overflows a float in the trial split
+        flags = ["--g", "1e300", "--alpha", "1", "--beta", "1", "--A", "1", "--N", "3"]
+        code, out, err = run_cli([command, *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {command}: the flags {' '.join(flags)} overflow double precision (")
+
 
 class _ClosedPipe(io.TextIOBase):
     """A standard output whose reader has gone, as under `| head`."""

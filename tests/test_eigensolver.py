@@ -222,8 +222,8 @@ class TestHarmonicCalibration:
 
     @pytest.mark.parametrize("n_dim", range(1, 10))
     def test_default_ladder_estimate_against_truth(self, n_dim):
-        # the default ladder, 64 cells up to the 8192-cell cap, stops at 512
-        # to 2048 cells; measured |E - N/2| / error_estimate: 0.36 to 0.50
+        # the default ladder, 32 cells up to the 8192-cell cap, stops at 512
+        # to 2048 cells; measured |E - N/2| / error_estimate: 0.32 to 0.50
         res = groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=12.0)
         assert abs(res.energy - n_dim / 2.0) <= ESTIMATE_FACTOR * res.error_estimate
 
@@ -456,8 +456,10 @@ class TestVerifySolution:
     @pytest.mark.parametrize("g", [1e-3, 1e-2, 1.0, 1e2, 2e4])
     def test_lambda_family_passes_on_the_default_ladder(self, g, n_dim, monkeypatch):
         # the lambda = 1.5 family is scale covariant in g, so every g takes
-        # the steps g = 1 takes: the ladder 64, 128, 256 and 512 cells, whose
-        # estimate is at most 0.11 of the target
+        # the steps g = 1 takes: the ladder 32, 64, 128 and 256 cells for
+        # N = 1, 2 and 3, whose estimate is 0.82 to 0.96 of the target, and
+        # on to 512 cells for N = 5 and 9 (at most 0.11 of it); measured
+        # |E - e0| / error_estimate: at most 0.475
         solves = []
         groundstate_ = eigensolver.groundstate
 
@@ -469,7 +471,8 @@ class TestVerifySolution:
         report = verify_solution(params_from_lambda(g, 1.5, solve_eta(1.5, n_dim)[0], n_dim))
         assert report.passed
         assert report.failures == ()
-        assert [res.grid.n_points for res in solves] == [512]
+        assert [res.grid.n_points for res in solves] == [256 if n_dim <= 3 else 512]
+        assert report.energy_error <= ESTIMATE_FACTOR * solves[0].error_estimate
 
     def test_dimension_500_normalizes_without_overflow(self):
         # r^(N-1) overflows on this domain (r_max = 5.54), so psi is
@@ -684,19 +687,19 @@ class TestStages:
         (eta,) = solve_eta(1.5, 3)
         res = groundstate(params_from_lambda(g, 1.5, eta, 3).potential)
         r_max = res.grid.r_max
-        assert calls["levels"] == [64, 128, 256, 512]
-        assert calls["built"] == [(r_max, 64), (r_max, 128), (r_max, 256), (r_max, 512)]
-        assert calls["discretize"] == [(r_max, 64)]
+        assert calls["levels"] == [32, 64, 128, 256]
+        assert calls["built"] == [(r_max, 32), (r_max, 64), (r_max, 128), (r_max, 256)]
+        assert calls["discretize"] == [(r_max, 32)]
         assert calls["eigenvector"] == 1
-        assert calls["vector_size"] == 512
-        assert res.grid.n_points == 512
+        assert calls["vector_size"] == 256
+        assert res.grid.n_points == 256
 
     def test_unmet_target_stops_at_the_cap(self, worked_potential, calls, monkeypatch):
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         res = groundstate(worked_potential, r_max=8.0)
-        assert calls["levels"] == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
+        assert calls["levels"] == [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
         assert calls["built"] == [(8.0, n) for n in calls["levels"]]
-        assert calls["discretize"] == [(8.0, 64)]
+        assert calls["discretize"] == [(8.0, 32)]
         assert calls["vector_size"] == 8192
         assert res.grid.n_points == 8192
         assert abs(res.energy) < 1e-8
@@ -713,8 +716,8 @@ class TestStages:
         # and probes at the secant's root -+ 0.4 abs_tol first, the cold
         # level takes 20 probes on both domains (21 and 30 with
         # Gershgorin's upper end and the replayed final bracket).  The
-        # default ladder, from 64 cells, stops at 512 on the automatic
-        # domain, and its cold level takes 18 probes
+        # default ladder, from 32 cells, stops at 256 on the automatic
+        # domain, and its cold level takes 16 probes
         counts = []
         pivot_below, twisted_gap = _kernels._pivot_below, _kernels._twisted_gap
         smallest_eigenvalue = _kernels.smallest_eigenvalue
@@ -734,8 +737,8 @@ class TestStages:
         monkeypatch.setattr(_kernels, "_pivot_below", counted_pivot_below)
         monkeypatch.setattr(_kernels, "_twisted_gap", counted_twisted_gap)
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
-        assert groundstate(worked_potential).grid.n_points == 512
-        assert counts == [[18, 4], [2, 4], [2, 3], [2, 3]]
+        assert groundstate(worked_potential).grid.n_points == 256
+        assert counts == [[16, 4], [2, 5], [2, 3], [2, 3]]
         counts.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
         assert counts == [[20, 4], [2, 5], [2, 3], [2, 3]]
@@ -764,7 +767,7 @@ class TestStages:
 
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
         groundstate(worked_potential)
-        assert rows_per_level() == [[811, 252], [211, 432], [425, 657], [851, 1323]]
+        assert rows_per_level() == [[348, 116], [106, 270], [211, 324], [425, 657]]
         groundstate(worked_potential, r_max=8.0, n_points=2000)
         assert rows_per_level() == [[733, 212], [181, 460], [362, 558], [725, 1125]]
 
@@ -779,8 +782,8 @@ class TestStages:
         # twist at the aim's k walks rows 0..k-1 and s..k+1 of the
         # bisection's block, which holds as many rows
         log = log_walks(monkeypatch)
-        assert groundstate(worked_potential).grid.n_points == 512
-        assert [rows for kind, rows in log if kind == "vector"] == [203, 238]
+        assert groundstate(worked_potential).grid.n_points == 256
+        assert [rows for kind, rows in log if kind == "vector"] == [101, 118]
         log.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
         assert [rows for kind, rows in log if kind == "vector"] == [172, 203]
@@ -790,9 +793,10 @@ class TestStages:
         # eigenvector's with the finest level's: the finest level sets its
         # matrix up once for its eigenvalue and vector together, where the
         # vector used to set it up again.  The cold first level cuts the
-        # bisection's block at min(d) and the one it hands on at the top
-        # of its last bracket; the second level's eigenvalue lies above
-        # the secant's upper start, so it checks the tail there again
+        # bisection's block at min(d), and would cut the one it hands on
+        # at the top of its last bracket only if its block were read; the
+        # second level's eigenvalue lies above the secant's upper start,
+        # so it checks the tail there again
         counts = []
         smallest_eigenvalue = _kernels.smallest_eigenvalue
 
@@ -809,11 +813,11 @@ class TestStages:
         for stage, name in enumerate(("_matrix", "_tail", "_rows")):
             monkeypatch.setattr(_kernels, name, counted(stage, getattr(_kernels, name)))
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", per_level)
-        assert groundstate(worked_potential).grid.n_points == 512
-        assert counts == [[1, 2, 2], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
+        assert groundstate(worked_potential).grid.n_points == 256
+        assert counts == [[1, 1, 1], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
         counts.clear()
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.n_points == 1000
-        assert counts == [[1, 2, 2], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
+        assert counts == [[1, 1, 1], [1, 2, 1], [1, 1, 1], [1, 1, 1]]
 
     def test_explicit_domain(self, worked_potential, calls):
         assert groundstate(worked_potential, r_max=8.0, n_points=2000).grid.r_max == 8.0
@@ -949,6 +953,9 @@ class TestPinnedAnswers:
     gives the same bits.  A change to where the bisection probes moves
     its answers within its tolerance; such a change re-records these,
     each new energy within the old error_estimate.  A change to where
+    the grid ladder stops re-records the ladder's pins, each new
+    error_estimate within the target and bounding |E - e0| (see
+    assert_estimate_holds).  A change to where
     the eigenvector's leading block ends moves only the vector digests.
     The pins also cover numpy's elementwise power/exp in discretize and
     the potential; they were recorded with Python 3.11 and numpy 2.4 on
@@ -975,7 +982,7 @@ class TestPinnedAnswers:
     def test_auto_domain(self):
         # g = 0.01 on the domain derived from V, r_max = 3.4622492 (150)^(1/4);
         # the ladder from 125 cells meets its target at 1000, below the
-        # 2000-cell cap (the default ladder, from 64 cells, stops at 512)
+        # 2000-cell cap (the default ladder, from 32 cells, stops at 256)
         (eta,) = solve_eta(1.5, 3)
         sol = params_from_lambda(0.01, 1.5, eta, 3)
         self.assert_pinned(
@@ -997,30 +1004,42 @@ class TestPinnedAnswers:
             8.0,
         )
 
+    @staticmethod
+    def assert_estimate_holds(res, potential):
+        # the ladder stops at the first level whose estimate meets the
+        # target, and that estimate bounds the error against e0
+        assert res.error_estimate <= eigensolver._LADDER_TARGET / res.grid.r_max**2
+        e0 = trial_split(potential, derive_trial(potential)).e0
+        assert abs(res.energy - e0) <= ESTIMATE_FACTOR * res.error_estimate
+
     def test_grid_ladder_worked_case(self, worked_potential):
         # the default solve path of verify and eta-mu: automatic domain,
-        # grid ladder to its accuracy target (it stops at 512 cells)
+        # grid ladder to its accuracy target (it stops at 256 cells, with
+        # an estimate 0.96 of the target and |E - e0| 0.43 of the estimate)
         res = groundstate(worked_potential)
         self.assert_pinned(
             res,
-            "-0x1.67341796c1555p-38",
-            ("-0x1.910bee61e8112p-13", "-0x1.9101c4cd43c70p-15"),
-            "8e849f9b64868d02d40bec0a98493a79b6bf1438d4f10ce76bd4d3bd25ea7f03",
+            "-0x1.74d9d84777777p-32",
+            ("-0x1.91349c99d9b38p-11", "-0x1.910bee58a5c92p-13"),
+            "27cf995d57270bce64e91682968ff69c260cc63f004e9236025946b941a9ed23",
             3.462249204802943,
         )
-        assert res.error_estimate.hex() == "0x1.a5f6720c1aa25p-36"
+        assert res.error_estimate.hex() == "0x1.b71ab89ce7c37p-31"
+        self.assert_estimate_holds(res, worked_potential)
 
     def test_grid_ladder_auto_domain(self):
         (eta,) = solve_eta(1.5, 3)
-        res = groundstate(params_from_lambda(0.01, 1.5, eta, 3).potential)
+        potential = params_from_lambda(0.01, 1.5, eta, 3).potential
+        res = groundstate(potential)
         self.assert_pinned(
             res,
-            "-0x1.885905ccccccdp-42",
-            ("-0x1.05f6696ed7878p-16", "-0x1.05efc5e0969cdp-18"),
-            "bf9d47bf60c48aecb88d1030a03143e391aa9cecad9b4e1a92a2253356a1633a",
+            "-0x1.e796cd2666666p-36",
+            ("-0x1.0610fbf6cff24p-14", "-0x1.05f6696c3dc9bp-16"),
+            "1bc8a54adeae79e36830daa66c81c43362949243ddab8159dc9679e389c4fef6",
             12.116610267070016,
         )
-        assert res.error_estimate.hex() == "0x1.13f4172c3c950p-39"
+        assert res.error_estimate.hex() == "0x1.1ed0f3a00af70p-34"
+        self.assert_estimate_holds(res, potential)
 
     def test_one_dimensional_harmonic_oscillator(self):
         self.assert_pinned(

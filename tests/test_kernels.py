@@ -468,9 +468,10 @@ class TestTailStop:
         # a call without an estimate cuts one block, at min(d), and
         # halves and then aims over the same lists; an estimate so low
         # that the block cut above it is too short sends the call on to
-        # that path within the one call the caller sees.  That path then
-        # cuts the block it hands to eigenvector at the top of its last
-        # bracket, as min(d) lies far above the eigenvalue
+        # that path within the one call the caller sees.  That path cuts
+        # the block it hands to eigenvector again at the top of its last
+        # bracket, as min(d) lies far above the eigenvalue, but only
+        # once the result's block is first read
         d, e, tol, _ = next(islice(wall_matrices(), 3, None))
         exact = exact_eigenvalue(d, e)
         tails, rows, calls = [], [], []
@@ -489,16 +490,25 @@ class TestTailStop:
         monkeypatch.setattr(_kernels, "smallest_eigenvalue", counted_smallest_eigenvalue)
         sigma = _kernels.smallest_eigenvalue(d, e, tol)
         assert_within_tolerance(sigma, exact, tol)
-        assert (tails[0], len(tails), len(rows), len(calls)) == (float(np.min(d)), 2, 2, 1)
+        assert (tails, len(rows), len(calls)) == ([float(np.min(d))], 1, 1)
+        vector = _kernels.eigenvector(sigma.block, sigma)
+        assert (len(tails), len(rows)) == (2, 2)
         assert sigma <= tails[1] <= sigma + tol
+        assert sigma.block is sigma.block and (len(tails), len(rows)) == (2, 2)
+        # the block cut on first read is the one cut at once at that top
+        e2, pivmin, radius, lower, reach = _kernels._matrix(d, e, tol)
+        k, block_rows = _kernels._block(d, e2, tail(d, radius, lower, tails[1], reach))
+        assert _kernels.eigenvector((block_rows, k, pivmin, e, tol), sigma).tobytes() == vector.tobytes()
         del tails[:], rows[:], calls[:]
         low = exact - 1e4 * _kernels._AIM_SPREAD * tol
         sigma = _kernels.smallest_eigenvalue(d, e, tol, low)
         assert_within_tolerance(sigma, exact, tol)
         # the tail at the secant's upper start, again at the bracket's
         # top, once at min(d) for the call without an estimate, and the
-        # vector's
-        assert (len(tails), tails[2], len(rows), len(calls)) == (4, float(np.min(d)), 3, 1)
+        # vector's on first read of the block
+        assert (len(tails), tails[2], len(rows), len(calls)) == (3, float(np.min(d)), 2, 1)
+        sigma.block  # the first read
+        assert (len(tails), len(rows)) == (4, 3)
         assert sigma <= tails[3] <= sigma + tol
 
 
@@ -586,8 +596,30 @@ class TestWalksMatchLoopReference:
                     got = _kernels._pivot_list(rows, couplings, x, pivmin)
                     assert len(got) == dd.shape[0] and all(type(q) is float for q in got)
                     assert np.array(got).tobytes() == loop_pivots(shifted, ee, pivmin).tobytes(), (d, e, x)
-                    ref = loop_last_pivot(x, dd, ee, pivmin)
-                    assert np.float64(got[-1]).tobytes() == np.float64(ref).tobytes(), (d, e, x)
+                    ref = np.float64(loop_last_pivot(x, dd, ee, pivmin)).tobytes()
+                    assert np.float64(got[-1]).tobytes() == ref, (d, e, x)
+                    # the aim's gamma_k walks keep the last pivot alone
+                    last = _kernels._last_pivot(rows, couplings, x, pivmin)
+                    assert type(last) is float and np.float64(last).tobytes() == ref, (d, e, x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_gap_is_the_twisted_gap(self, data):
+        # the secant's gamma_k is _twisted's, bit for bit, at every k of
+        # the block, the first (no top-down walk) and the last (no
+        # bottom-up walk) included
+        n = data.draw(st.integers(1, 12), label="n")
+        entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e150, -1e150]))
+        d = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d"))
+        e = np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1), label="e"), dtype=float)
+        e2 = np.concatenate(([0.0], e * e))
+        pivmin = _kernels._SAFMIN * max(float(np.max(e2)), 1.0)
+        x = data.draw(st.one_of(st.sampled_from([*d.tolist(), 0.0, -0.0]), st.floats()), label="x")
+        rows = _kernels._rows(d, e2)
+        for k in range(n):
+            gap = _kernels._twisted_gap(rows, k, x, pivmin)
+            assert type(gap) is float
+            assert np.float64(gap).tobytes() == np.float64(_kernels._twisted(rows, k, x, pivmin)[2]).tobytes(), k
 
 
 class TestSmallestEigenvalue:
