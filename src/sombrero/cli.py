@@ -39,10 +39,6 @@ from .trial import derive_trial, trial_split
 from .wavefunction import TrialWavefunction, eval_s0, maxima_radius
 
 
-class OracleFailure(Exception):
-    """The oracle could not settle the groundstate (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that also reads "-1.4e-05" and "-inf" as negative numbers.
 
@@ -257,16 +253,9 @@ def cmd_jackiw(args) -> int:
     return 0
 
 
-def _oracle_report(sol: ZeroModeSolution, args):
-    try:
-        return verify_solution(sol, r_max=args.rmax, n_points=args.grid)
-    except RuntimeError as exc:  # unconfined potential, grid too coarse, spoiled vector
-        raise OracleFailure(str(exc)) from exc
-
-
 def cmd_eta_mu(args) -> int:
     sol = solve_eta_mu(args.g, args.N)  # NoRootError propagates as exit 1
-    report = _oracle_report(sol, args)
+    report = verify_solution(sol, r_max=args.rmax, n_points=args.grid)
     summary = _base_summary("eta-mu", {"g": args.g, "N": args.N})
     summary["solution"] = _solution_summary(sol)
     summary["c_rule"] = "c = (1 - eta) * g * r0_sq / 2"
@@ -278,7 +267,7 @@ def cmd_eta_mu(args) -> int:
 def cmd_verify(args) -> int:
     p = _potential_from_args(args)
     sol = ZeroModeSolution(potential=p, trial=derive_trial(p))
-    report = _oracle_report(sol, args)
+    report = verify_solution(sol, r_max=args.rmax, n_points=args.grid)
     summary = _base_summary(
         "verify",
         {"g": args.g, "alpha": args.alpha, "beta": args.beta, "A": args.A, "N": args.N},
@@ -409,7 +398,7 @@ def main(argv=None) -> int:
     except NoRootError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
-    except OracleFailure as exc:
+    except RuntimeError as exc:  # the oracle: unconfined potential, grid too coarse, spoiled vector
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # unwritable --out, a two-flag rule, non-finite coefficients

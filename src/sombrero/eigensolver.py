@@ -38,7 +38,7 @@ from . import _kernels
 from .potential import PotentialParams, _check_n_dim, eval_potential
 from .solvers import ZeroModeSolution
 from .trial import m_zero_residual, satisfies_m_zero, satisfies_zero_energy, trial_split, zero_energy_residual
-from .wavefunction import TrialWavefunction, derivatives_s0, eval_s0, schrodinger_residual
+from .wavefunction import TrialWavefunction, _riccati_residual, eval_s0
 
 MIN_GRID_POINTS = 16
 # decay exponent of psi, in WKB terms, between the outermost turning
@@ -306,7 +306,9 @@ def groundstate(
     half the spacing of the one before, and Richardson-extrapolates
     twice: each consecutive pair of raw eigenvalues to
     E_k = (4 e_k - e_(k-1)) / 3, and each consecutive pair of those to
-    E2_k = (16 E_k - E_(k-1)) / 15.  n_points is the finest grid the
+    E2_k = (16 E_k - E_(k-1)) / 15: one step (f x_k - x_(k-1)) / (f - 1)
+    with f = 4, then 16.  Each level needs only the values of the level
+    below, and that is all the ladder keeps.  n_points is the finest grid the
     ladder may use (see _ladder for its levels; 8192 gives 32, 64,
     ..., 8192 cells).  The first level is bisected cold, the one after it
     (or after a restart, below) from its eigenvalue, and each later one
@@ -379,11 +381,11 @@ def groundstate(
     # one pass, and each later one from a pass of its own
     coarsest = discretize(v_at, extra_potential, RadialGrid.make(r_max, levels[0]), n_dim=ndim)
     first = [(coarsest.diag, coarsest.off_diag)] + _operators(v_at, extra_potential, r_max, ndim, levels[1:4])
-    # per level since the last restart, coarsest first: [e_k, E_k, E2_k],
-    # as far as the levels below reach
-    rows = []
-    estimate = None
+    # [e_k, E_k, E2_k] of the level being solved and of the one below,
+    # as far as the levels since the last restart reach
+    row = estimate = None
     for k, n in enumerate(levels):
+        below = row
         diag, off = first[k] if k < len(first) else _operators(v_at, extra_potential, r_max, ndim, (n,))[0]
         # whatever the estimate, each level lies within bisect_tol / 2 +
         # bisect_tol / 64 of its eigenvalue (the bracket and the tail, see
@@ -392,27 +394,22 @@ def groundstate(
         # 85/45 * 0.516 < 1 bisect_tol, the share error_estimate adds
         fine = _kernels.smallest_eigenvalue(diag, off, bisect_tol, estimate)
         e_fine = float(fine)
-        if rows:
-            e_coarse = rows[-1][0]
+        if below is not None:
             coarse_kinetic = (n / 2.0 / r_max) ** 2
-            if abs(e_coarse - e_fine) > coarse_kinetic:
+            if abs(below[0] - e_fine) > coarse_kinetic:
                 if n == levels[-1]:
                     raise RuntimeError(
-                        f"raw eigenvalues {e_coarse:.6g} and {e_fine:.6g} disagree by more than "
+                        f"raw eigenvalues {below[0]:.6g} and {e_fine:.6g} disagree by more than "
                         f"the coarser grid's 1/dr^2 = {coarse_kinetic:.3g}: grid too coarse"
                     )
                 # a finer pair may resolve what this one cannot: extrapolate
                 # from this level on
-                rows = []
+                below = None
         row = [e_fine]
-        if rows:
-            below = rows[-1]
-            row.append((4.0 * e_fine - below[0]) / 3.0)
-            if len(below) > 1:
-                row.append((16.0 * row[1] - below[1]) / 15.0)
-        rows.append(row)
-        if len(rows) > 1:
-            below = rows[-2]
+        if below is not None:
+            # E_k with f = 4, then E2_k with f = 16, as far as below reaches
+            for f, x_below in zip((4.0, 16.0), below):
+                row.append((f * row[-1] - x_below) / (f - 1.0))
             # an O(dr^6) error would call for / 63, but for N = 3 what two
             # steps leave falls only about 32x per halving; a ladder
             # restarted near its top counts its last Richardson correction
@@ -425,9 +422,9 @@ def groundstate(
                 break
         # the raw error falls 4x per halving of dr, so the next level's
         # eigenvalue sits near E_k + (e_(k-1) - e_k) / 12
-        estimate = e_fine if len(row) == 1 else row[1] + (rows[-2][0] - e_fine) / 12.0
+        estimate = e_fine if below is None else row[1] + (below[0] - e_fine) / 12.0
 
-    energy = rows[-1][-1]
+    energy = row[-1]
     if not math.isfinite(energy):
         raise RuntimeError("groundstate energy is not finite")
     # fine is the last level's eigenvalue, with the block it was bisected over
@@ -449,7 +446,7 @@ def groundstate(
         energy=energy,
         vector=psi,
         grid=grid,
-        richardson_pair=(rows[-2][0], e_fine),
+        richardson_pair=(below[0], e_fine),
         error_estimate=error_estimate,
     )
 
@@ -513,10 +510,11 @@ def verify_solution(
         b = np.copysign(np.exp(log_oracle - log_oracle.max()), result.vector)
     similarity = float(np.sum(a * b)) / math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
 
+    # the Riccati residual relative to its terms' magnitudes, floored at the unit
     unit = _energy_unit(result.grid.r_max)
     radii = np.geomspace(1e-3 * result.grid.r_max, result.grid.r_max, 60)
-    residual = np.asarray(schrodinger_residual(w, split.e0, radii))
-    max_residual = float(np.max(np.abs(residual) / _residual_scale(w, split.e0, radii, unit)))
+    residual, size = _riccati_residual(w, split.e0, radii)
+    max_residual = float(np.max(np.abs(residual) / np.maximum(unit, size)))
 
     failures = []
     energy_error = abs(result.energy - split.e0)
@@ -543,16 +541,3 @@ def verify_solution(
         failures=tuple(failures),
     )
 
-
-def _residual_scale(w: TrialWavefunction, e: float, radii: np.ndarray, unit: float) -> np.ndarray:
-    """Magnitude of the residual's constituent terms, floored at unit, for relative error."""
-    d1, d2 = derivatives_s0(w, radii)
-    n = w.potential.n_dim
-    v = eval_potential(w.potential, radii)
-    total = (
-        d1 * d1
-        + np.abs((n - 1.0) / radii * d1)
-        + np.abs(d2)
-        + 2.0 * np.abs(v - e)
-    )
-    return np.maximum(unit, total)

@@ -11,7 +11,8 @@ Three routes produce exactly solvable parameter sets:
     (these have m = 0 but generally E0 != 0).
   * solve_eta_mu: the well-form route; eliminating mu and c from the
     three constraints leaves one cubic in eta with at most one root in
-    (0, 1), which exists exactly when g > 3/4.
+    (0, 1), which exists exactly when g > 3/4.  Both routes take beta
+    from eta by one rule, N (1 - eta) / (2 eta g).
 
 Each cubic has at most one root in (0, 1), so solve_eta and solve_eta_mu
 share one finder that bisects [0, 1] to the last float when the cubic's
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import JackiwForm, LambdaForm, PotentialParams, from_jackiw_form
+from .potential import JackiwForm, LambdaForm, PotentialParams
 from .trial import (
     TrialParams,
     derive_trial,
@@ -253,16 +254,17 @@ def solve_eta(lambda_: float, n_dim: int):
 def params_from_lambda(g: float, lambda_: float, eta: float, n_dim: int) -> ZeroModeSolution:
     """Reconstruct the zero-energy potential for a root eta of solve_eta.
 
-    beta = N (1 - eta) / (2 eta g), alpha = +2 sqrt(lambda beta) (the
-    positive branch), A = eta alpha.  The result is validated against
-    both constraint residuals, so an eta that is not actually a root is
+    beta = N (1 - eta) / (2 eta g) (_zero_energy_beta, the rule
+    solve_eta_mu uses too), alpha = +2 sqrt(lambda beta) (the positive
+    branch), A = eta alpha.  The result is validated against both
+    constraint residuals, so an eta that is not actually a root is
     rejected.
     """
     if not (g > 0):
         raise ValueError(f"need g > 0, got {g}")
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    beta = n_dim * (1.0 - eta) / (2.0 * eta * g)
+    beta = _zero_energy_beta(g, eta, n_dim)
     if not (beta > 0) or not (lambda_ * beta > 0):
         raise ValueError(f"invalid shape parameters: beta={beta}, lambda={lambda_}")
     alpha = 2.0 * math.sqrt(lambda_ * beta)
@@ -277,6 +279,16 @@ def params_from_lambda(g: float, lambda_: float, eta: float, n_dim: int) -> Zero
         trial=derive_trial(p),
         lambda_form=LambdaForm(lambda_=lambda_, eta=eta),
     )
+
+
+def _zero_energy_beta(g: float, eta: float, n_dim: int) -> float:
+    """beta = N (1 - eta) / (2 eta g): with A = eta alpha, the E0 = 0
+    constraint A g^2 beta / 2 = N (alpha - A) g / 4 for any alpha.
+
+    Both the lambda and the well-form route take beta from it; it has no
+    difference of nearly equal terms for any eta in (0, 1).
+    """
+    return n_dim * (1.0 - eta) / (2.0 * eta * g)
 
 
 def _fmt_res(p: PotentialParams) -> str:
@@ -327,12 +339,17 @@ def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
 
     Solves the eta cubic, which is convex on [0, 1], negative at 0, and
     positive at 1 exactly when g > 3/4 (see the module docstring), so it
-    has one root in (0, 1) for g > 3/4 and none otherwise.  Recovers mu
-    from the exact-solvability constraint (mu = 1 - (1+eta)^2 + 3/g) and
-    the potential through the Jackiw form.  The quadratic trial
-    coefficient follows c = (1 - eta) g r0^2 / 2.  Raises NoRootError
-    when the cubic has no root in (0, 1), or when the potential rebuilt
-    from the root misses either constraint residual.
+    has one root in (0, 1) for g > 3/4 and none otherwise.  Builds the
+    potential from the root directly: alpha = 2 r0^2 with
+    r0^4 = (N+2)/3, A = eta alpha, and beta = N (1 - eta) / (2 eta g),
+    the rule params_from_lambda uses (_zero_energy_beta).  The depth
+    mu = 1 - (1+eta)^2 + 3/g is reported in the Jackiw form, not used:
+    beta = r0^4 (1 - mu) is the same number, but 1 - mu cancels near
+    g = 3/4.  The quadratic trial coefficient follows
+    c = (1 - eta) g r0^2 / 2.  Raises NoRootError when the cubic has no
+    root in (0, 1), or when the potential rebuilt from the root misses
+    either constraint residual, which within about 2.4e-7 above 3/4 some
+    still do (the residuals' own alpha - A = alpha (1 - eta) cancels).
     """
     if not (g > 0):
         raise ValueError(f"need g > 0, got {g}")
@@ -344,9 +361,9 @@ def solve_eta_mu(g: float, n_dim: int) -> ZeroModeSolution:
             f"no shift ratio eta in (0, 1) solves the constraints for g={g}, N={n_dim}"
         )
     eta = roots[0]
-    mu = 1.0 - (1.0 + eta) ** 2 + 3.0 / g
-    form = JackiwForm(r0_sq=math.sqrt((n_dim + 2.0) / 3.0), mu=mu, eta=eta)
-    p = from_jackiw_form(form, g=g, n_dim=n_dim)
+    form = JackiwForm(r0_sq=math.sqrt((n_dim + 2.0) / 3.0), mu=1.0 - (1.0 + eta) ** 2 + 3.0 / g, eta=eta)
+    alpha = 2.0 * form.r0_sq
+    p = PotentialParams(g=g, alpha=alpha, beta=_zero_energy_beta(g, eta, n_dim), bigA=eta * alpha, n_dim=n_dim)
     if not (satisfies_m_zero(p) and satisfies_zero_energy(p)):
         raise NoRootError(
             f"the root eta={eta!r} found for g={g}, N={n_dim} misses the constraints ({_fmt_res(p)})"

@@ -88,16 +88,29 @@ def maxima_radius(w: TrialWavefunction) -> PeakLocation:
     return PeakLocation(radius=best, valley_at_origin=best > 0.0)
 
 
+def _riccati_residual(w: TrialWavefunction, e: float, r: np.ndarray):
+    """schrodinger_residual on radii r > 0, and the sum of its four terms' magnitudes.
+
+    One evaluation of S0'^2, ((N-1)/r) S0', S0'' and 2 (V(r) - e) gives
+    both; verify_solution scales the residual by the sum.
+    """
+    d1, d2 = derivatives_s0(w, r)
+    slope_sq = d1 * d1
+    drift = (w.potential.n_dim - 1.0) / r * d1
+    potential = 2.0 * (eval_potential(w.potential, r) - e)
+    return slope_sq - drift - d2 - potential, slope_sq + np.abs(drift) + np.abs(d2) + np.abs(potential)
+
+
 def schrodinger_residual(w: TrialWavefunction, e: float, r):
     """Pointwise residual S0'^2 - ((N-1)/r) S0' - S0'' - 2 (V(r) - e).
 
     Vanishes identically when psi is an exact eigenstate of V at energy e.
-    Singular form: r must be strictly positive.
+    Its terms are evaluated once, by _riccati_residual, which also hands
+    verify_solution their magnitudes.  Singular form: r must be strictly
+    positive.
     """
     rr = np.asarray(r, dtype=float)
     if np.any(rr <= 0.0):
         raise ValueError("residual requires r > 0")
-    n = w.potential.n_dim
-    d1, d2 = derivatives_s0(w, rr)
-    val = d1 * d1 - (n - 1.0) / rr * d1 - d2 - 2.0 * (eval_potential(w.potential, rr) - e)
+    val = _riccati_residual(w, e, rr)[0]
     return val if np.ndim(r) else float(val)

@@ -309,6 +309,14 @@ class TestEtaMu:
         if g == "1000":  # resolved within the grid ladder's 8192-cell cap
             assert proc.returncode == 0
 
+    def test_coupling_just_above_three_quarters_verifies(self, capsys):
+        # beta from eta alone: r0^4 (1 - mu) cancelled here and the
+        # rebuilt potential missed the constraints (no solution, exit 1)
+        code, out, err = run_cli(["eta-mu", "--g", "0.7500001", "--N", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["verification"]["verdict"] == "PASS"
+
     def test_no_root_exits_1(self, capsys):
         # the cubic is negative on all of (0, 1) for g < 3/4
         code, out, err = run_cli(["eta-mu", "--g", "0.5", "--N", "3"], capsys)

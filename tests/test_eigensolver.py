@@ -17,12 +17,15 @@ from sombrero import (
     RadialGrid,
     TrialWavefunction,
     ZeroModeSolution,
+    derivatives_s0,
     derive_trial,
     discretize,
+    eval_potential,
     eval_psi,
     groundstate,
     jackiw_solutions,
     params_from_lambda,
+    schrodinger_residual,
     solve_eta,
     solve_eta_mu,
     trial_split,
@@ -421,6 +424,21 @@ class TestVerifySolution:
         assert report.similarity > 1.0 - 1e-6
         assert report.max_residual < 1e-9
         assert abs(report.m_residual) < 1e-10
+
+    @pytest.mark.parametrize("beta_factor", [1.0, 1.05])
+    def test_max_residual_from_the_public_terms(self, worked_potential, beta_factor):
+        # verify_solution evaluates the Riccati terms once for the residual
+        # and its scale; the public helpers, evaluated apart, give its bits
+        p = dataclasses.replace(worked_potential, beta=worked_potential.beta * beta_factor)
+        sol = ZeroModeSolution(potential=p, trial=derive_trial(p))
+        report = verify_solution(sol, r_max=8.0)
+        w = TrialWavefunction(trial=sol.trial, potential=p)
+        e0 = trial_split(p, sol.trial).e0
+        r = np.geomspace(1e-3 * 8.0, 8.0, 60)
+        d1, d2 = derivatives_s0(w, r)
+        terms = d1 * d1 + np.abs((p.n_dim - 1.0) / r * d1) + np.abs(d2) + 2.0 * np.abs(eval_potential(p, r) - e0)
+        residual = np.abs(schrodinger_residual(w, e0, r))
+        assert report.max_residual == float(np.max(residual / np.maximum(1.0 / 8.0**2, terms)))
 
     def test_unresolved_oracle_is_not_a_wrong_claim(self):
         # g = 1e5, N = 3 meets both constraints (its e0, -3.3e-6, is what

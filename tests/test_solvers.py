@@ -367,6 +367,24 @@ class TestSolveEtaMu:
         counts = [len(solvers._cubic_roots_in_unit_interval(cubic)) for cubic in cubics]
         assert counts == [int(g > 0.75) for g in gs]
 
+    @pytest.mark.parametrize("n_dim", [1, 3, 9])
+    def test_solves_just_above_three_quarters(self, n_dim):
+        # beta = N (1 - eta) / (2 eta g) has no cancellation; the old
+        # r0^4 (1 - mu) missed the constraints at 127, 136 and 131 of these
+        # couplings, up to g - 3/4 = 3.3e-6.  The misses left at N = 3 and
+        # 9 (114 and 113, worst 2.41e-7) come from alpha - A = alpha (1 - eta)
+        # inside the residuals
+        misses = []
+        for excess in np.logspace(-12, -3, 200):
+            try:
+                solve_eta_mu(0.75 + excess, n_dim)
+            except NoRootError:
+                misses.append(excess)
+        if n_dim == 1:
+            assert misses == []
+        else:
+            assert max(misses) <= 2.5e-7
+
     def test_no_root_for_weak_coupling(self):
         # the cubic is negative on all of (0, 1) for g < 3/4
         with pytest.raises(NoRootError, match="eta"):
