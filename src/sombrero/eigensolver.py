@@ -14,21 +14,22 @@ stops once the error estimate of the twice-extrapolated energy, which
 adds the bisection's tolerance and the eigenvalues' round-off to the
 extrapolation's own estimate, meets an accuracy target.  It never
 stops before its fourth level: the first level's operator comes from
-discretize, which also checks the domain's extent, and the next three
-from one pass that calls V once on all their radii.  The groundstate
-vector comes from one twisted factorization on the finest grid, over
-the block that grid's bisection solved.  Each solve uses one domain:
-an explicit r_max, or for the sextic family one derived from the
-potential's own length scale, so that a rescaled potential r -> s r
-gets a domain exactly s times as wide, and warns at most once that the
-domain looks too short.
+discretize, and the next three from one pass that calls V once on all
+their radii.  The groundstate vector comes from one twisted
+factorization on the finest grid, over the block that grid's bisection
+solved.  Each solve uses one domain: an explicit r_max, or for the
+sextic family one derived from the potential's own length scale, so
+that a rescaled potential r -> s r gets a domain exactly s times as
+wide.  A solve warns once when its vector reaches the outer wall: the
+bisection cuts its block where the state has decayed past its reach,
+so a vector still nonzero in the last cell has not, and the wall may
+move the energy.
 
 This module shares no formulas with the closed-form trial construction;
 it is the truth oracle the analytic solutions are checked against.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -63,7 +64,8 @@ _ROUNDOFF = float(np.finfo(float).eps)
 
 
 class GridExtentWarning(UserWarning):
-    """The domain looks too small to confine the state being solved for."""
+    """The groundstate vector reaches the domain's outer wall: the domain
+    may be too short to confine the state being solved for."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +115,9 @@ class EigenResult:
     _kernels.eigenvector): exactly 0 past the row where the state has
     decayed below about sqrt(tol / (64 max|e|)) of its peak, for the
     bisection's tolerance tol and the operator's largest off-diagonal
-    |e|.  richardson_pair keeps the two finest raw eigenvalues (coarse,
+    |e|; a vector nonzero in its last cell, where the state has not
+    decayed that far, is what makes groundstate warn GridExtentWarning.
+    richardson_pair keeps the two finest raw eigenvalues (coarse,
     fine).  error_estimate bounds the energy's
     error: |E2_k - E2_(k-1)| / 31 over the ladder's last two levels,
     plus the bisection's tolerance, plus the round-off eps n^2 / r_max^2
@@ -149,31 +153,15 @@ def discretize(potential, extra_potential=None, grid: RadialGrid = None, n_dim: 
     r^(N-1) weights or 1/dr^2 overflow): every operator it returns has
     the finite d and e*e the kernels require.  After those checks it
     raises groundstate's ValueError naming r_max when 1/r_max^2 is not
-    finite and nonzero.  Warns when V(r_max) is below
-    10 max(|V(0)|, 1/r_max^2), i.e. when the Dirichlet wall may truncate
-    a barely confined state; both terms scale like V under r -> s r, so
-    the test does not depend on the choice of units.  The
-    warning points at the first caller outside this module: groundstate
-    builds its first level with discretize (32 cells on the default
-    ladder, 8192 giving 32, 64, ..., 8192) and its others with the same
-    code (_operators), so a solve warns at most once, at its caller.
+    finite and nonzero.  It only builds the operator: whether the
+    domain confines the state is groundstate's to decide, from the
+    vector it solves for.
     """
     if grid is None:
         raise ValueError("discretize requires a RadialGrid")
     v_at, ndim = _resolve_potential(potential, n_dim)
     ((diag, off),) = _operators(v_at, extra_potential, grid.r_max, ndim, (grid.n_points,))
-    with np.errstate(all="ignore"):
-        v_origin, v_edge = (float(x) for x in np.asarray(v_at(np.array([0.0, grid.r_max]))))
-    if v_edge < 10.0 * max(abs(v_origin), _energy_unit(grid.r_max)):
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"V(r_max={grid.r_max:g}) = {v_edge:.3g} is small; the domain may be "
-            "too short to confine the groundstate",
-            GridExtentWarning,
-            stacklevel=level,
-        )
+    _energy_unit(grid.r_max)  # raises for an r_max without an energy unit
     return TridiagonalOperator(diag=diag, off_diag=off, grid=grid)
 
 
@@ -223,8 +211,8 @@ def _operators(v_at, extra_potential, r_max, ndim, sizes) -> list:
 
 
 def _energy_unit(r_max: float) -> float:
-    """1/r_max^2, the unit of every energy threshold and of the extent
-    check; raises ValueError unless it is finite and nonzero."""
+    """1/r_max^2, the unit of every energy threshold; raises ValueError
+    unless it is finite and nonzero."""
     square = r_max * r_max
     unit = 1.0 / square if square > 0.0 else math.inf
     if not 0.0 < unit < math.inf:
@@ -334,9 +322,8 @@ def groundstate(
     solved and handed on with it, and 0 past it.
 
     The operators are discretize's.  The first level's comes from
-    discretize itself, with its GridExtentWarning, so a solve warns at
-    most once.  The ladder never stops before its fourth level, so the
-    next three are built in one pass, with one call of V (and of
+    discretize itself.  The ladder never stops before its fourth level,
+    so the next three are built in one pass, with one call of V (and of
     extra_potential) on all their radii concatenated; each later level
     takes one call of its own.  Like discretize's, these callables must
     act elementwise on any 1-D array of radii.
@@ -352,7 +339,16 @@ def groundstate(
     at least 128, r_max > 0 and 1/r_max^2, the unit of every energy
     threshold, is finite and nonzero (and discretize's, for the first
     level that fails), and RuntimeError when the energy or the vector
-    is not finite or the vector changes sign.
+    is not finite or the vector changes sign.  After those checks it
+    warns GridExtentWarning once when the finest level's vector is
+    nonzero in its last cell: the bisection cuts its block only where
+    the state has decayed past the kernel's reach, about
+    sqrt(tol / (64 max|e|)) of its peak for the bisection's tolerance
+    tol, so an uncut vector has not decayed that far by the wall, and
+    the wall may move the energy by more than the cut is allowed to.
+    The message names r_max and the vector's value there as a fraction
+    of its peak.  The rule is a ratio on the operator itself, so it
+    does not depend on the choice of units.
 
     With r_max=None a PotentialParams potential gets the radius where
     its groundstate has decayed by about e^-40, found from V and N alone
@@ -376,9 +372,8 @@ def groundstate(
     target = _LADDER_TARGET * unit
     bisect_tol = target / 100.0
     # the ladder never stops before its fourth level: the first comes from
-    # discretize, which checks the domain's extent (and where perfbench's
-    # tracer reads each solve's domain and warnings), the next three from
-    # one pass, and each later one from a pass of its own
+    # discretize (where perfbench's tracer reads each solve's domain), the
+    # next three from one pass, and each later one from a pass of its own
     coarsest = discretize(v_at, extra_potential, RadialGrid.make(r_max, levels[0]), n_dim=ndim)
     first = [(coarsest.diag, coarsest.off_diag)] + _operators(v_at, extra_potential, r_max, ndim, levels[1:4])
     # [e_k, E_k, E2_k] of the level being solved and of the one below,
@@ -433,6 +428,14 @@ def groundstate(
         raise RuntimeError("groundstate vector is not finite")
     if vec.min() < -1e-8 * vec.max():
         raise RuntimeError("groundstate vector changed sign; eigenpair suspect")
+    # the vector is 0 past the row where the bisection found the state decayed
+    if vec[-1] != 0.0:
+        warnings.warn(
+            f"the groundstate reaches the wall at r_max = {r_max:g}, at {vec[-1] / vec.max():.3g} "
+            "of its peak; the domain may be too short to confine it",
+            GridExtentWarning,
+            stacklevel=2,
+        )
 
     grid = RadialGrid.make(r_max, n)
     r = grid.points

@@ -86,8 +86,7 @@ def m_zero_residual(p: PotentialParams) -> float:
 
     Zero iff the trial function is the exact groundstate of V itself.
     """
-    diff = p.alpha - p.bigA
-    return p.g * (p.beta - p.alpha * p.bigA) - 0.25 * p.g * diff * diff + p.n_dim + 2.0
+    return _m_zero_terms(p)[0]
 
 
 def zero_energy_residual(p: PotentialParams) -> float:
@@ -95,25 +94,31 @@ def zero_energy_residual(p: PotentialParams) -> float:
 
     Returns A g^2 beta / 2 - N c with c = (alpha - A) g / 4.
     """
-    c = (p.alpha - p.bigA) * p.g / 4.0
-    return 0.5 * p.bigA * p.g**2 * p.beta - p.n_dim * c
+    return _zero_energy_terms(p)[0]
 
 
-def _m_zero_scale(p: PotentialParams) -> float:
+def _m_zero_terms(p: PotentialParams):
+    """m_zero_residual and the sum of its terms' magnitudes, from one evaluation."""
     diff = p.alpha - p.bigA
-    return abs(p.g * (p.beta - p.alpha * p.bigA)) + 0.25 * p.g * diff * diff + p.n_dim + 2.0
+    well = p.g * (p.beta - p.alpha * p.bigA)
+    ring = 0.25 * p.g * diff * diff
+    return well - ring + p.n_dim + 2.0, abs(well) + ring + p.n_dim + 2.0
 
 
-def _zero_energy_scale(p: PotentialParams) -> float:
-    c = (p.alpha - p.bigA) * p.g / 4.0
-    return abs(0.5 * p.bigA * p.g**2 * p.beta) + abs(p.n_dim * c)
+def _zero_energy_terms(p: PotentialParams):
+    """zero_energy_residual and the sum of its terms' magnitudes, from one evaluation."""
+    lead = 0.5 * p.bigA * p.g**2 * p.beta
+    n_c = p.n_dim * ((p.alpha - p.bigA) * p.g / 4.0)
+    return lead - n_c, abs(lead) + abs(n_c)
 
 
 def satisfies_m_zero(p: PotentialParams) -> bool:
     """True when the exact-solvability residual vanishes to CONSTRAINT_RTOL (term-scaled)."""
-    return abs(m_zero_residual(p)) <= CONSTRAINT_RTOL * _m_zero_scale(p)
+    residual, scale = _m_zero_terms(p)
+    return abs(residual) <= CONSTRAINT_RTOL * scale
 
 
 def satisfies_zero_energy(p: PotentialParams) -> bool:
     """True when the E0 = 0 residual vanishes to CONSTRAINT_RTOL (term-scaled)."""
-    return abs(zero_energy_residual(p)) <= CONSTRAINT_RTOL * _zero_energy_scale(p)
+    residual, scale = _zero_energy_terms(p)
+    return abs(residual) <= CONSTRAINT_RTOL * scale

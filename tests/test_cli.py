@@ -735,8 +735,23 @@ class TestEntrypoint:
         assert "verification.verdict = FAIL" in proc.stdout
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("warning: V(r_max=0.5)")
+        assert lines[0].startswith("warning: the groundstate reaches the wall at r_max = 0.5, ")
         assert ".py:" not in proc.stderr
+
+    @pytest.mark.parametrize("r_max, code, verdict, warned", [("2.5", 1, "FAIL", 1), ("3", 0, "PASS", 0)])
+    def test_warns_where_the_wall_moves_the_answer(self, r_max, code, verdict, warned):
+        # at r_max = 2.5 the wall moves E by 2.1 tolerances, which the
+        # verdict reads as a miss of e0 alone; at 3 by 4e-3 of one
+        proc = run_module(["verify", *WORKED_FLAGS, "--rmax", r_max])
+        assert proc.returncode == code
+        table = parse_table(proc.stdout)
+        assert table["verification.verdict"] == verdict
+        lines = proc.stderr.splitlines()
+        assert len(lines) == warned
+        if warned:
+            assert table["verification.failures.0"] == "oracle_energy_vs_e0"
+            assert "verification.failures.1" not in table
+            assert lines[0].startswith("warning: the groundstate reaches the wall")
 
 
 def _flag_value(flag):

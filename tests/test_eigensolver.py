@@ -75,29 +75,13 @@ class TestDiscretize:
         assert op.off_diag.shape == (63,)
         assert np.all(op.off_diag < 0)
 
-    def test_warns_on_short_domain(self):
-        grid = RadialGrid.make(math.pi, 64)
-        with pytest.warns(GridExtentWarning):
-            discretize(lambda r: 0.0 * r, grid=grid, n_dim=1)
-
-    def test_confined_case_does_not_warn(self, worked_potential):
-        grid = RadialGrid.make(8.0, 64)
+    def test_builds_without_judging_the_domain(self):
+        # the free particle is not confined on [0, pi], but whether a
+        # domain confines the state is groundstate's to decide
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridExtentWarning)
-            discretize(worked_potential, grid=grid)
-
-    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
-    def test_warning_threshold_is_unit_free(self, s):
-        # V = r^2 / (2 s^4) is the unit oscillator with r -> r / s; the
-        # threshold 10 / r_max^2 is crossed at r_max = 20^(1/4) s = 2.115 s
-        def v(r):
-            return 0.5 * r * r / s**4
-
-        with pytest.warns(GridExtentWarning):
-            discretize(v, grid=RadialGrid.make(2.0 * s, 64), n_dim=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GridExtentWarning)
-            discretize(v, grid=RadialGrid.make(2.3 * s, 64), n_dim=3)
+            op = discretize(lambda r: 0.0 * r, grid=RadialGrid.make(math.pi, 64), n_dim=1)
+        assert op.diag.shape == (64,)
 
     def test_extra_potential_shifts_diagonal(self, worked_potential):
         grid = RadialGrid.make(8.0, 64)
@@ -158,6 +142,64 @@ class TestDiscretize:
             discretize(lambda r: 0.5 * r * r, grid=RadialGrid.make(8.0, 64), n_dim=n_dim)
         with pytest.raises(ValueError, match=re.escape(message)):
             groundstate(lambda r: 0.5 * r * r, n_dim=n_dim, r_max=10.0, n_points=512)
+
+
+class TestExtentWarning:
+    """groundstate warns GridExtentWarning once when its vector is nonzero
+    in the last cell, where the bisection found the state not yet decayed
+    past its reach, so that the wall may move the energy."""
+
+    def test_warns_on_short_domain(self):
+        message = r"^the groundstate reaches the wall at r_max = 3\.14159, at 0\.\d+ of its peak; "
+        with pytest.warns(GridExtentWarning, match=message):
+            groundstate(lambda r: 0.0 * r, n_dim=1, r_max=math.pi, n_points=512)
+
+    def test_confined_case_does_not_warn(self, worked_potential):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            groundstate(worked_potential, r_max=8.0, n_points=2000)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 2.0**-20, 2.0**-7, 2.0**9, 2.0**30])
+    def test_warning_is_unit_free(self, s):
+        # V = r^2 / (2 s^4) is the unit oscillator with r -> r / s, whose
+        # wall moves E by 1.1e6 tolerances at r_max = 2 s, 5.9 at 4.5 s and
+        # 0.09 at 5 s; the worked claim's wall moves E by 2.1 tolerances at
+        # 2.5 s and by at most 4.1e-3 from 3 s on.  The rule is stricter
+        # than the verdict needs: at 5.5 s to 6.5 s the oscillator's wall
+        # moves E by 0.003 tolerances or less, yet its vector reaches it
+        def warns(potential, r_max, n_dim=None):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                groundstate(potential, r_max=r_max, n_dim=n_dim)
+            assert [w.category for w in caught] in ([], [GridExtentWarning])
+            return "W" if caught else "."
+
+        radii = (2.0, 2.3, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 8.0)
+        oscillator = "".join(warns(lambda r: 0.5 * r * r / s**4, x * s, 3) for x in radii)
+        assert oscillator == "WWWWWWWWW.."
+        worked = TestScaleCovariance.rescaled(
+            PotentialParams(g=1.5, alpha=2.0 * SQRT3, beta=2.0, bigA=2.0 * SQRT3 / 3.0, n_dim=3), s
+        )
+        claim = "".join(warns(worked, None if x is None else x * s) for x in (2.5, 2.75, 3.0, 3.46, 8.0, None))
+        assert claim == "WW...."
+
+    @pytest.mark.parametrize("n_dim", [1, 3, 9, 49, 200, 300, 500, 700])
+    def test_lambda_family_on_its_automatic_domain_does_not_warn(self, n_dim):
+        # the centrifugal part of the operator confines the state at high
+        # N, which a rule on V(r_max) alone did not see
+        p = params_from_lambda(1.5, 1.5, solve_eta(1.5, n_dim)[0], n_dim).potential
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridExtentWarning)
+            groundstate(p)
+
+    def test_warning_points_at_the_caller_of_groundstate(self, worked_potential):
+        sol = ZeroModeSolution(potential=worked_potential, trial=derive_trial(worked_potential))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            groundstate(worked_potential, r_max=2.5)
+            verify_solution(sol, r_max=2.5)
+        assert [w.category for w in caught] == [GridExtentWarning, GridExtentWarning]
+        assert [w.filename for w in caught] == [__file__, eigensolver.__file__]
 
 
 class TestFreeParticleSmoke:
@@ -462,10 +504,7 @@ class TestVerifySolution:
         sol = params_from_lambda(1.5, 1.5, solve_eta(1.5, n_dim)[0], n_dim)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # the extent check weighs V(r_max) without the centrifugal term
-            # that confines the state at high N, so it warns at N = 300 and
-            # 500 on domains whose solves pass (ROADMAP item 6)
-            warnings.simplefilter("ignore", GridExtentWarning)
+            warnings.simplefilter("error", GridExtentWarning)
             report = verify_solution(sol)
         assert report.passed
         assert report.failures == ()
@@ -845,9 +884,9 @@ class TestStages:
         assert calls["discretize"] == [(8.0, 125)]
 
     def test_potential_evaluations(self, worked_potential, monkeypatch):
-        # V is called by discretize on the first level's 125 radii and the
-        # extent check's two points, then once on the next three levels'
-        # radii, 250 + 500 + 1000; each later level takes one call of its own
+        # V is called by discretize on the first level's 125 radii, then
+        # once on the next three levels' radii, 250 + 500 + 1000; each
+        # later level takes one call of its own
         sizes = []
 
         def v(r):
@@ -855,22 +894,21 @@ class TestStages:
             return eigensolver.eval_potential(worked_potential, r)
 
         assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 1000
-        assert sorted(sizes) == [2, 125, 1750]
+        assert sorted(sizes) == [125, 1750]
         sizes.clear()
         monkeypatch.setattr(eigensolver, "_LADDER_TARGET", 1e-30)
         assert groundstate(v, n_dim=3, r_max=8.0, n_points=2000).grid.n_points == 2000
-        assert sorted(sizes) == [2, 125, 1750, 2000]
+        assert sorted(sizes) == [125, 1750, 2000]
 
     def test_one_extent_warning_per_solve(self):
-        # the short free-particle domain warned once per ladder level, from
-        # 64 to 512 cells; the warning points at the caller of groundstate,
-        # as discretize's points at the caller of discretize
+        # the short free-particle domain warns once, from the finest level,
+        # and points at the caller of groundstate; discretize only builds
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             groundstate(lambda r: 0.0 * r, n_dim=1, r_max=math.pi, n_points=512)
             discretize(lambda r: 0.0 * r, grid=RadialGrid.make(math.pi, 64), n_dim=1)
-        assert [w.category for w in caught] == [GridExtentWarning, GridExtentWarning]
-        assert [w.filename for w in caught] == [__file__, __file__]
+        assert [w.category for w in caught] == [GridExtentWarning]
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize(
         "spoil, message",
@@ -890,8 +928,9 @@ class TestStages:
 
     def test_non_finite_energy_raises(self):
         # V = 1e308 leaves the operator finite and each level's eigenvalue
-        # too, but the Richardson step's 4 e_k overflows
-        with pytest.warns(GridExtentWarning), pytest.raises(RuntimeError, match="^groundstate energy is not finite$"):
+        # too, but the Richardson step's 4 e_k overflows; the energy is
+        # checked before the vector, so the solve raises without warning
+        with pytest.raises(RuntimeError, match="^groundstate energy is not finite$"):
             groundstate(lambda r: 1e308 + 0.0 * r, r_max=1.0, n_dim=1, n_points=128)
 
 
@@ -956,9 +995,7 @@ class TestOperators:
         with pytest.raises(ValueError) as exc:
             eigensolver._operators(v, None, r_max, 1, levels)
         assert str(exc.value) == message
-        # groundstate's first level, from discretize, may warn before a finer one fails
-        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            warnings.simplefilter("ignore", GridExtentWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             groundstate(v, n_dim=1, r_max=r_max, n_points=128)
 
 
